@@ -17,7 +17,7 @@
 // the final plan's oracle energy on resnet152.
 #include "bench_common.hpp"
 
-#include "clustering/distance.hpp"
+#include "clustering/cluster.hpp"
 #include "dnn/builder.hpp"
 #include "features/depthwise.hpp"
 #include "linalg/stats.hpp"
@@ -83,9 +83,13 @@ clustering::PowerView cluster_with(const linalg::Matrix& features,
   }
   clustering::DistanceParams params;
   params.metric = metric;
-  const linalg::Matrix dist = clustering::power_distance_matrix(x, params);
-  const std::vector<int> labels = clustering::dbscan(dist, {0.10, 3});
-  return clustering::process_clusters(labels, dist, {3});
+  const clustering::ClusteringHyperparams hyper{0.10, 3};
+  linalg::Workspace ws;
+  linalg::Matrix dist;
+  clustering::EpsAdjacency adj;
+  clustering::power_distance_matrix_adj_into(x, params, hyper.eps, ws, dist,
+                                             adj);
+  return clustering::build_power_view_from_adjacency(dist, adj, hyper);
 }
 
 void run() {

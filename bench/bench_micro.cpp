@@ -20,6 +20,7 @@
 #include "nn/trainer.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "support/distance_oracles.hpp"
 
 #include <benchmark/benchmark.h>
 
@@ -67,8 +68,12 @@ void BM_PowerDistanceMatrix(benchmark::State& state) {
   const linalg::Matrix feats =
       features::DepthwiseFeatureExtractor::extract(probe_graph());
   const clustering::DistanceParams params;
+  linalg::Workspace ws;
+  linalg::Matrix dist;
+  clustering::EpsAdjacency adj;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(clustering::power_distances_for(feats, params));
+    clustering::power_distances_adj_into(feats, params, 0.10, ws, dist, adj);
+    benchmark::DoNotOptimize(adj.neighbors.data());
   }
 }
 BENCHMARK(BM_PowerDistanceMatrix);
@@ -76,11 +81,14 @@ BENCHMARK(BM_PowerDistanceMatrix);
 void BM_DbscanAndPostprocess(benchmark::State& state) {
   const linalg::Matrix feats =
       features::DepthwiseFeatureExtractor::extract(probe_graph());
-  const linalg::Matrix dist =
-      clustering::power_distances_for(feats, {});
+  const clustering::ClusteringHyperparams hyper{0.10, 3};
+  linalg::Workspace ws;
+  linalg::Matrix dist;
+  clustering::EpsAdjacency adj;
+  clustering::power_distances_adj_into(feats, {}, hyper.eps, ws, dist, adj);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        clustering::build_power_view_from_distances(dist, {0.10, 3}));
+        clustering::build_power_view_from_adjacency(dist, adj, hyper));
   }
 }
 BENCHMARK(BM_DbscanAndPostprocess);
@@ -243,24 +251,38 @@ std::vector<std::string> mahalanobis_records() {
   const std::size_t d = features::kDepthwiseFeatureDim;
   for (const std::size_t n : {64ul, 128ul, 256ul}) {
     const linalg::Matrix x = random_matrix(n, d, 300 + n);
-    const linalg::Matrix fast = clustering::mahalanobis_distances(x);
-    const linalg::Matrix naive = clustering::mahalanobis_distances_naive(x);
-    if (linalg::Matrix::max_abs_diff(fast, naive) > 1e-8) {
-      throw std::runtime_error("mahalanobis: whitened path disagrees");
-    }
-    // The whitened side runs through the warmed-workspace entry point — the
-    // configuration every serve worker uses after its first plan.
+    // The whitened side is the library's one distance pipeline with
+    // alpha = 1 (pure feature distance normalized to unit max), run through
+    // a warmed workspace — the configuration every serve worker uses after
+    // its first plan. Its emitted adjacency is part of the timed work.
+    clustering::DistanceParams params;
+    params.alpha = 1.0;
+    const double eps = 0.2;
     linalg::Workspace ws;
     linalg::Matrix pooled;
-    clustering::mahalanobis_distances_into(x, ws, pooled);
+    clustering::EpsAdjacency adj;
+    clustering::power_distance_matrix_adj_into(x, params, eps, ws, pooled,
+                                               adj);
+    linalg::Matrix naive = testing::mahalanobis_distances_naive(x);
+    double naive_max = 0.0;
+    for (const double v : naive.data()) naive_max = std::max(naive_max, v);
+    for (double& v : naive.data()) v /= naive_max;
+    if (linalg::Matrix::max_abs_diff(testing::symmetric_from_lower(pooled),
+                                     naive) > 1e-8) {
+      throw std::runtime_error("mahalanobis: whitened path disagrees");
+    }
     const int reps = n <= 128 ? 11 : 7;
     const double naive_ms = best_of_ms(
         [&] {
-          benchmark::DoNotOptimize(clustering::mahalanobis_distances_naive(x));
+          benchmark::DoNotOptimize(testing::mahalanobis_distances_naive(x));
         },
         reps);
     const double fast_ms = best_of_ms(
-        [&] { clustering::mahalanobis_distances_into(x, ws, pooled); }, reps);
+        [&] {
+          clustering::power_distance_matrix_adj_into(x, params, eps, ws,
+                                                     pooled, adj);
+        },
+        reps);
     records.push_back(obs::JsonWriter()
                           .field("n", static_cast<double>(n))
                           .field("d", static_cast<double>(d))

@@ -8,6 +8,7 @@
 //   - hyperparameter prediction (one model inference)
 //   - clustering (Algorithm 1 end to end)
 //   - decision of each block (decision-model inference per block)
+// Each per-call row is the median of 21 timed calls after one warm-up.
 // Model-training wall time is measured for the simulated pipeline; the
 // paper's 4.5-20 h figures include on-device frequency sweeps of thousands
 // of generated networks, which the analytic cost model replaces.
@@ -18,22 +19,29 @@
 #include "features/global.hpp"
 #include "hw/analytic.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <vector>
 
 namespace powerlens::bench {
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// One warm-up call, then the median of `reps` individually timed calls.
 template <typename F>
-double time_ms(F&& f, int reps = 10) {
-  // One warm-up, then the mean of `reps` runs.
+double median_ms(F&& f, int reps = 21) {
   f();
-  const auto t0 = Clock::now();
-  for (int i = 0; i < reps; ++i) f();
-  const auto t1 = Clock::now();
-  return std::chrono::duration<double, std::milli>(t1 - t0).count() /
-         static_cast<double>(reps);
+  std::vector<double> samples;
+  samples.reserve(static_cast<std::size_t>(reps));
+  for (int i = 0; i < reps; ++i) {
+    const auto t0 = Clock::now();
+    f();
+    samples.push_back(
+        std::chrono::duration<double, std::milli>(Clock::now() - t0).count());
+  }
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
 }
 
 void run_platform(const hw::Platform& platform) {
@@ -49,7 +57,7 @@ void run_platform(const hw::Platform& platform) {
 
   const dnn::Graph g = dnn::make_resnet152(8);
 
-  const double feat_ms = time_ms([&] {
+  const double feat_ms = median_ms([&] {
     (void)features::DepthwiseFeatureExtractor::extract(g);
     (void)features::GlobalFeatureExtractor::extract(g);
   });
@@ -60,13 +68,15 @@ void run_platform(const hw::Platform& platform) {
       features::GlobalFeatureExtractor::extract(g);
   const core::OptimizationPlan plan = t.framework->optimize(g);
 
+  // Clustering runs the same fused distance + ε-adjacency + CSR DBSCAN
+  // path optimize() runs, so its row is a part of the optimize() row.
   clustering::ClusteringConfig cc;
   cc.hyper = plan.hyper;
-  const double cluster_ms = time_ms(
-      [&] { (void)clustering::build_power_view(g, cc); }, 3);
+  const double cluster_ms =
+      median_ms([&] { (void)clustering::build_power_view(g, cc); });
 
   const double full_optimize_ms =
-      time_ms([&] { (void)t.framework->optimize(g); }, 3);
+      median_ms([&] { (void)t.framework->optimize(g); });
   // Prediction + decision cost is the remainder after clustering + feature
   // extraction inside optimize(); report the dominant measured pieces.
   std::printf("  workflow on %s (%zu layers):\n", g.name().c_str(), g.size());

@@ -1,7 +1,6 @@
 #include "clustering/cluster.hpp"
 
 #include "features/depthwise.hpp"
-#include "linalg/stats.hpp"
 
 #include <stdexcept>
 #include <vector>
@@ -18,101 +17,13 @@ PowerView build_power_view(const dnn::Graph& graph,
 PowerView build_power_view(const linalg::Matrix& depthwise_features,
                            const ClusteringConfig& config,
                            linalg::Workspace* ws) {
-  if (ws != nullptr) {
-    linalg::Workspace::Lease dist = ws->lease(0, 0);
-    power_distances_into(depthwise_features, config.distance, *ws, *dist);
-    return build_power_view_from_distances(*dist, config.hyper);
-  }
-  const linalg::Matrix dist =
-      power_distances_for(depthwise_features, config.distance);
-  return build_power_view_from_distances(dist, config.hyper);
-}
-
-linalg::Matrix power_distances_for(const linalg::Matrix& depthwise_features,
-                                   const DistanceParams& params) {
-  linalg::StandardScaler scaler;
-  const linalg::Matrix scaled = scaler.fit_transform(depthwise_features);
-  return power_distance_matrix(scaled, params);
-}
-
-void power_distances_into(const linalg::Matrix& depthwise_features,
-                          const DistanceParams& params, linalg::Workspace& ws,
-                          linalg::Matrix& dist) {
-  linalg::StandardScaler scaler;
-  scaler.fit(depthwise_features);
-  linalg::Workspace::Lease scaled =
-      ws.lease(depthwise_features.rows(), depthwise_features.cols());
-  scaler.transform_into(depthwise_features, *scaled);
-  power_distance_matrix_into(*scaled, params, ws, dist);
-}
-
-void power_distances_batch_into(
-    std::span<const linalg::Matrix* const> depthwise_tables,
-    const DistanceParams& params, linalg::Workspace& ws,
-    std::span<linalg::Matrix* const> dists) {
-  if (depthwise_tables.size() != dists.size()) {
-    throw std::invalid_argument(
-        "power_distances_batch: tables/dists size mismatch");
-  }
-  // Scale every table first (leases stay alive across the batch), then one
-  // batched distance call shares the eigendecomposition sweeps.
-  std::vector<linalg::Workspace::Lease> scaled;
-  scaled.reserve(depthwise_tables.size());
-  std::vector<const linalg::Matrix*> scaled_ptrs;
-  scaled_ptrs.reserve(depthwise_tables.size());
-  for (const linalg::Matrix* table : depthwise_tables) {
-    linalg::StandardScaler scaler;
-    scaler.fit(*table);
-    scaled.push_back(ws.lease(table->rows(), table->cols()));
-    scaler.transform_into(*table, *scaled.back());
-    scaled_ptrs.push_back(&*scaled.back());
-  }
-  power_distance_matrix_batch_into(scaled_ptrs, params, ws, dists);
-}
-
-void power_distances_adj_into(const linalg::Matrix& depthwise_features,
-                              const DistanceParams& params, double eps,
-                              linalg::Workspace& ws, linalg::Matrix& dist,
-                              EpsAdjacency& adj) {
-  linalg::StandardScaler scaler;
-  scaler.fit(depthwise_features);
-  linalg::Workspace::Lease scaled =
-      ws.lease(depthwise_features.rows(), depthwise_features.cols());
-  scaler.transform_into(depthwise_features, *scaled);
-  power_distance_matrix_adj_into(*scaled, params, eps, ws, dist, adj);
-}
-
-void power_distances_adj_batch_into(
-    std::span<const linalg::Matrix* const> depthwise_tables,
-    const DistanceParams& params, std::span<const double> eps,
-    linalg::Workspace& ws, std::span<linalg::Matrix* const> dists,
-    std::span<EpsAdjacency* const> adjs) {
-  if (depthwise_tables.size() != dists.size() ||
-      depthwise_tables.size() != eps.size() ||
-      depthwise_tables.size() != adjs.size()) {
-    throw std::invalid_argument(
-        "power_distances_adj_batch: span size mismatch");
-  }
-  std::vector<linalg::Workspace::Lease> scaled;
-  scaled.reserve(depthwise_tables.size());
-  std::vector<const linalg::Matrix*> scaled_ptrs;
-  scaled_ptrs.reserve(depthwise_tables.size());
-  for (const linalg::Matrix* table : depthwise_tables) {
-    linalg::StandardScaler scaler;
-    scaler.fit(*table);
-    scaled.push_back(ws.lease(table->rows(), table->cols()));
-    scaler.transform_into(*table, *scaled.back());
-    scaled_ptrs.push_back(&*scaled.back());
-  }
-  power_distance_matrix_adj_batch_into(scaled_ptrs, params, eps, ws, dists,
-                                       adjs);
-}
-
-PowerView build_power_view_from_distances(
-    const linalg::Matrix& distances, const ClusteringHyperparams& hyper) {
-  const std::vector<int> labels = dbscan(distances, {hyper.eps, hyper.min_pts});
-  return process_clusters(labels, distances,
-                          {.min_block_layers = hyper.min_pts});
+  linalg::Workspace local_ws;
+  linalg::Workspace& w = ws != nullptr ? *ws : local_ws;
+  linalg::Workspace::Lease dist = w.lease(0, 0);
+  EpsAdjacency adj;
+  power_distances_adj_into(depthwise_features, config.distance,
+                           config.hyper.eps, w, *dist, adj);
+  return build_power_view_from_adjacency(*dist, adj, config.hyper);
 }
 
 PowerView build_power_view_from_adjacency(const linalg::Matrix& distances,

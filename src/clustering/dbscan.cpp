@@ -16,36 +16,6 @@ void check_params(const DbscanParams& params) {
 
 }  // namespace
 
-EpsAdjacency EpsAdjacency::from_distances(const linalg::Matrix& distances,
-                                          double eps) {
-  if (!distances.square() || distances.rows() == 0) {
-    throw std::invalid_argument(
-        "EpsAdjacency: distance matrix must be square");
-  }
-  if (eps <= 0.0) {
-    throw std::invalid_argument("EpsAdjacency: eps must be > 0");
-  }
-  const std::size_t n = distances.rows();
-  EpsAdjacency adj;
-  adj.n = n;
-  adj.offsets.assign(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint32_t deg = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      deg += distances(i, j) <= eps ? 1u : 0u;
-    }
-    adj.offsets[i + 1] = adj.offsets[i] + deg;
-  }
-  adj.neighbors.resize(adj.offsets[n]);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint32_t* out = adj.neighbors.data() + adj.offsets[i];
-    for (std::size_t j = 0; j < n; ++j) {
-      if (distances(i, j) <= eps) *out++ = static_cast<std::uint32_t>(j);
-    }
-  }
-  return adj;
-}
-
 EpsAdjacency EpsAdjacency::from_bitmap(std::size_t n,
                                        const std::uint64_t* bits,
                                        std::size_t words,
@@ -71,6 +41,31 @@ EpsAdjacency EpsAdjacency::from_bitmap(std::size_t n,
     }
   }
   return adj;
+}
+
+EpsAdjacency EpsAdjacency::narrowed(const linalg::Matrix& dist,
+                                    double eps) const {
+  if (dist.rows() != n || dist.cols() != n) {
+    throw std::invalid_argument("EpsAdjacency::narrowed: size mismatch");
+  }
+  if (eps <= 0.0) {
+    throw std::invalid_argument("EpsAdjacency::narrowed: eps must be > 0");
+  }
+  EpsAdjacency out;
+  out.n = n;
+  out.offsets.assign(n + 1, 0);
+  out.neighbors.reserve(neighbors.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t* r = row(i);
+    for (std::size_t p = 0; p < degree(i); ++p) {
+      const std::size_t j = r[p];
+      if ((j < i ? dist(i, j) : dist(j, i)) <= eps) {
+        out.neighbors.push_back(r[p]);
+      }
+    }
+    out.offsets[i + 1] = static_cast<std::uint32_t>(out.neighbors.size());
+  }
+  return out;
 }
 
 std::vector<int> dbscan(const EpsAdjacency& adj, const DbscanParams& params) {
@@ -125,60 +120,6 @@ std::vector<int> dbscan(const EpsAdjacency& adj, const DbscanParams& params) {
       labels[q] = cluster;
       if (adj.degree(q) >= params.min_pts) {
         push_unclaimed(adj.row(q), adj.degree(q), stamp);
-      }
-    }
-  }
-  return labels;
-}
-
-std::vector<int> dbscan(const linalg::Matrix& distances,
-                        const DbscanParams& params) {
-  if (!distances.square() || distances.rows() == 0) {
-    throw std::invalid_argument("dbscan: distance matrix must be square");
-  }
-  check_params(params);
-  return dbscan(EpsAdjacency::from_distances(distances, params.eps), params);
-}
-
-std::vector<int> dbscan_reference(const linalg::Matrix& distances,
-                                  const DbscanParams& params) {
-  if (!distances.square() || distances.rows() == 0) {
-    throw std::invalid_argument("dbscan: distance matrix must be square");
-  }
-  check_params(params);
-  const std::size_t n = distances.rows();
-
-  auto neighbors = [&](std::size_t i) {
-    std::vector<std::size_t> out;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (distances(i, j) <= params.eps) out.push_back(j);  // includes i
-    }
-    return out;
-  };
-
-  constexpr int kUnvisited = -2;
-  std::vector<int> labels(n, kUnvisited);
-  int next_cluster = 0;
-
-  for (std::size_t i = 0; i < n; ++i) {
-    if (labels[i] != kUnvisited) continue;
-    std::vector<std::size_t> nbrs = neighbors(i);
-    if (nbrs.size() < params.min_pts) {
-      labels[i] = kNoise;
-      continue;
-    }
-    const int cluster = next_cluster++;
-    labels[i] = cluster;
-    std::deque<std::size_t> frontier(nbrs.begin(), nbrs.end());
-    while (!frontier.empty()) {
-      const std::size_t q = frontier.front();
-      frontier.pop_front();
-      if (labels[q] == kNoise) labels[q] = cluster;  // border point
-      if (labels[q] != kUnvisited) continue;
-      labels[q] = cluster;
-      const std::vector<std::size_t> q_nbrs = neighbors(q);
-      if (q_nbrs.size() >= params.min_pts) {
-        frontier.insert(frontier.end(), q_nbrs.begin(), q_nbrs.end());
       }
     }
   }

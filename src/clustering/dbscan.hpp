@@ -1,13 +1,12 @@
-// DBSCAN over a precomputed distance matrix (Algorithm 1, line 13).
+// DBSCAN over an ε-threshold CSR adjacency (Algorithm 1, line 13).
 //
-// Since PR 10 the production path runs over an ε-threshold CSR adjacency
-// built in ONE pass over the distance matrix (or fused into the distance
-// blend sweep — see clustering/distance.hpp), replacing the per-point O(n)
-// neighbor rescans of the dense implementation. Expansion order is
-// unchanged — seeds ascend, the frontier is FIFO over first insertions, and
-// CSR rows list neighbors in ascending index — so labels are identical to
-// the dense-matrix implementation, which is kept as dbscan_reference() and
-// property-tested against the CSR path.
+// The adjacency comes out of the distance pipeline's own sweep (see
+// clustering/distance.hpp), so neighbor queries are O(degree) row lookups
+// and no distance matrix is ever rescanned. Expansion order is the textbook
+// one — seeds ascend, the frontier is FIFO over first insertions, and CSR
+// rows list neighbors in ascending index — so labels equal the classic
+// dense-matrix implementation, which the tests keep as their label oracle
+// (tests/support/distance_oracles.hpp).
 #pragma once
 
 #include "linalg/matrix.hpp"
@@ -41,38 +40,29 @@ struct EpsAdjacency {
     return neighbors.data() + offsets[i];
   }
 
-  // One full scan of a symmetric distance matrix — the path for
-  // hyperparameter sweeps where eps is not known when the matrix is built.
-  // Throws std::invalid_argument on a non-square/empty matrix or eps <= 0.
-  static EpsAdjacency from_distances(const linalg::Matrix& distances,
-                                     double eps);
-  // Assembly from the packed per-row bitmaps the fused blend kernel emits
-  // (kernels::dist_blend_adj): bits[i*words + w] bit b set means j =
+  // Assembly from the packed per-row bitmaps the fused distance sweep
+  // emits (kernels::gram_blend_adj): bits[i*words + w] bit b set means j =
   // 64*w + b is a neighbor of i. Scanning words ascending yields ascending
   // neighbor order for free.
   static EpsAdjacency from_bitmap(std::size_t n, const std::uint64_t* bits,
                                   std::size_t words,
                                   const std::size_t* degree);
+
+  // The adjacency at a smaller radius: keeps neighbor j of row i when
+  // dist(max(i, j), min(i, j)) <= eps, in ascending order — an O(nnz)
+  // filter over this (wider) adjacency. `dist` is the lower-triangle power
+  // distance matrix this adjacency was built from; the result equals a
+  // full-matrix scan at `eps` whenever eps does not exceed the radius this
+  // adjacency was built at. Throws std::invalid_argument on a size
+  // mismatch or eps <= 0.
+  EpsAdjacency narrowed(const linalg::Matrix& dist, double eps) const;
 };
 
-// Returns one label per row of `distances`: 0..k-1 for cluster membership,
-// kNoise for noise points. The distance matrix must be square and symmetric.
-// Throws std::invalid_argument on a malformed matrix or eps <= 0 /
-// min_pts == 0. Implemented as from_distances + the CSR overload below.
-std::vector<int> dbscan(const linalg::Matrix& distances,
-                        const DbscanParams& params);
-
-// CSR fast path: the adjacency already encodes eps, so only min_pts is
-// read from `params`. Labels are identical to dbscan_reference on the
-// matrix the adjacency was built from (property-tested).
+// Returns one label per adjacency row: 0..k-1 for cluster membership,
+// kNoise for noise points. The adjacency already encodes eps, so only
+// min_pts is read from `params` (eps must still be > 0). Throws
+// std::invalid_argument on a malformed adjacency, eps <= 0 or min_pts == 0.
 std::vector<int> dbscan(const EpsAdjacency& adjacency,
                         const DbscanParams& params);
-
-// The pre-PR-10 dense-matrix implementation, kept verbatim as the label
-// oracle for equivalence tests. O(n) neighbor rescans per expansion and a
-// frontier that re-enqueues already-labeled points — do not use on hot
-// paths.
-std::vector<int> dbscan_reference(const linalg::Matrix& distances,
-                                  const DbscanParams& params);
 
 }  // namespace powerlens::clustering

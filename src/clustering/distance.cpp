@@ -5,6 +5,7 @@
 #include "linalg/stats.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
@@ -14,8 +15,26 @@ namespace powerlens::clustering {
 
 namespace {
 
-// Per-offset spacing-penalty table shared by every blend entry point:
-// penalty[t] = 1 - exp(-lambda * t), penalty[0] = 0.
+void check_params(const DistanceParams& params, double eps) {
+  if (params.alpha < 0.0 || params.alpha > 1.0) {
+    throw std::invalid_argument("power_distance: alpha outside [0,1]");
+  }
+  if (params.lambda < 0.0) {
+    throw std::invalid_argument("power_distance: lambda must be >= 0");
+  }
+  if (eps <= 0.0) {
+    throw std::invalid_argument("power_distance: eps must be > 0");
+  }
+}
+
+void check_table(const linalg::Matrix& x) {
+  if (x.rows() == 0 || x.cols() == 0) {
+    throw std::invalid_argument("power_distance: empty feature table");
+  }
+}
+
+// Per-offset spacing-penalty table: penalty[t] = 1 - exp(-lambda * t),
+// penalty[0] = 0.
 void fill_penalty(double lambda, std::size_t n, linalg::Matrix& penalty) {
   penalty(0, 0) = 0.0;
   for (std::size_t t = 1; t < n; ++t) {
@@ -23,44 +42,30 @@ void fill_penalty(double lambda, std::size_t n, linalg::Matrix& penalty) {
   }
 }
 
-// The fused triangular Mahalanobis adjacency tail: whitened projection,
-// lower-triangle Gram, max prepass, then ONE blended-lower + ε-bitmap
-// sweep. `out` gets the lower triangle + zero diagonal (upper unspecified);
-// every written element is bitwise identical to the full-matrix pipeline
-// (gram_to_dist_max + dist_blend_adj), which this path replaces on the hot
-// plan-compute route — the mirror half cost n²/2 strided writes plus a
-// full extra matrix pass and fed nothing but symmetric re-reads.
-void mahalanobis_blend_adj_lower_into(const linalg::Matrix& x,
-                                      const linalg::Matrix& w,
-                                      const DistanceParams& params, double eps,
-                                      linalg::Workspace& ws,
-                                      linalg::Matrix& out, EpsAdjacency& adj) {
-  if (eps <= 0.0) {
-    throw std::invalid_argument("power_distance_blend_adj: eps must be > 0");
-  }
+// The Mahalanobis tail from a whitening factor `w` of cov(x): whitened
+// projection, lower-triangle Gram, max prepass, then ONE blended-lower +
+// ε-bitmap sweep. A rank-0 factor (zero covariance) leaves the Gram all
+// zero, so every feature distance is 0 through the same kernels.
+void mahalanobis_lower_into(const linalg::Matrix& x, const linalg::Matrix& w,
+                            const DistanceParams& params, double eps,
+                            linalg::Workspace& ws, linalg::Matrix& out,
+                            EpsAdjacency& adj) {
   const std::size_t n = x.rows();
   const std::size_t d = x.cols();
-  if (n == 0 || d == 0) {
-    throw std::invalid_argument("mahalanobis_distances: empty feature table");
-  }
   if (w.cols() != d) {
     throw std::invalid_argument(
-        "mahalanobis_from_whitening: factor width does not match features");
+        "power_distance: whitening factor width does not match features");
   }
   const std::size_t k = w.rows();
-  if (k == 0) {
-    // Zero covariance: every pairwise feature distance is 0. Reproduce the
-    // full pipeline exactly — a zero matrix through the dense blend.
-    out.reshape(n, n);
-    power_distance_blend_adj_into(params, 0.0, eps, ws, out, adj);
-    return;
-  }
 
-  linalg::Workspace::Lease y = ws.lease_uninit(n, k);
-  linalg::kernels::gemm_nt(n, k, d, x.data().data(), d, w.data().data(), d,
-                           y->data().data(), k);
-  linalg::Workspace::Lease gram = ws.lease_uninit(n, n);
-  {
+  // P = Wᵀ W; d²(i,j) = ‖W(xᵢ − xⱼ)‖² = ‖yᵢ − yⱼ‖² with Y = X Wᵀ. The mean
+  // never needs subtracting — it cancels in the row differences.
+  linalg::Workspace::Lease gram =
+      k == 0 ? ws.lease(n, n) : ws.lease_uninit(n, n);
+  if (k > 0) {
+    linalg::Workspace::Lease y = ws.lease_uninit(n, k);
+    linalg::kernels::gemm_nt(n, k, d, x.data().data(), d, w.data().data(), d,
+                             y->data().data(), k);
     linalg::Workspace::Lease at = ws.lease_uninit(k, n);  // syrk Aᵀ scratch
     linalg::kernels::syrk_nt(n, k, y->data().data(), k, at->data().data(),
                              gram->data().data(), n);
@@ -84,319 +89,72 @@ void mahalanobis_blend_adj_lower_into(const linalg::Matrix& x,
   adj = EpsAdjacency::from_bitmap(n, bits.data(), words, degree.data());
 }
 
-}  // namespace
-
-void mahalanobis_from_whitening_into(const linalg::Matrix& x,
-                                     const linalg::Matrix& w,
-                                     linalg::Workspace& ws,
-                                     linalg::Matrix& dist) {
+// The Euclidean ablation metric in plain scalar code, under the same
+// contract: raw distances into the lower triangle (folding their max),
+// then the blend alpha · (v · inv_max) + beta · penalty[i - j] in place,
+// stamping the symmetric ε-bitmap as each entry is blended. -ffp-contract
+// =off keeps every multiply-then-add unfused, exactly as the kernels do.
+void euclidean_lower_into(const linalg::Matrix& x,
+                          const DistanceParams& params, double eps,
+                          linalg::Workspace& ws, linalg::Matrix& out,
+                          EpsAdjacency& adj) {
   const std::size_t n = x.rows();
   const std::size_t d = x.cols();
-  if (n == 0 || d == 0) {
-    throw std::invalid_argument("mahalanobis_distances: empty feature table");
-  }
-  if (w.cols() != d) {
-    throw std::invalid_argument(
-        "mahalanobis_from_whitening: factor width does not match features");
-  }
-  const std::size_t k = w.rows();
-
-  dist.reshape(n, n);
-  if (k == 0) return;  // zero covariance: all rows identical under P
-
-  // P = Wᵀ W; d²(i,j) = ‖W(xᵢ − xⱼ)‖² = ‖yᵢ − yⱼ‖² with Y = X Wᵀ. The mean
-  // never needs subtracting — it cancels in the row differences.
-  linalg::Workspace::Lease y = ws.lease(n, k);
-  linalg::kernels::gemm_nt(n, k, d, x.data().data(), d, w.data().data(), d,
-                           y->data().data(), k);
-  // Only the lower Gram triangle is materialized (each entry one fused
-  // multiply-add chain — see syrk_nt's contract), and the sqrt epilogue
-  // runs inside the kernel layer so it vectorizes; the epilogue itself is
-  // bitwise the classic sqrt(max(nᵢ + nⱼ - 2·g, 0)) mirror loop.
-  linalg::Workspace::Lease gram = ws.lease(n, n);
-  {
-    linalg::Workspace::Lease at = ws.lease_uninit(k, n);  // syrk Aᵀ scratch
-    linalg::kernels::syrk_nt(n, k, y->data().data(), k, at->data().data(),
-                             gram->data().data(), n);
-  }
-  linalg::Workspace::Lease norms = ws.lease(1, n);
-  linalg::kernels::gram_to_dist(n, gram->data().data(), n, dist.data().data(),
-                                n, norms->data().data());
-}
-
-void mahalanobis_from_whitening_max_into(const linalg::Matrix& x,
-                                         const linalg::Matrix& w,
-                                         linalg::Workspace& ws,
-                                         linalg::Matrix& dist,
-                                         double& max_out) {
-  const std::size_t n = x.rows();
-  const std::size_t d = x.cols();
-  if (n == 0 || d == 0) {
-    throw std::invalid_argument("mahalanobis_distances: empty feature table");
-  }
-  if (w.cols() != d) {
-    throw std::invalid_argument(
-        "mahalanobis_from_whitening: factor width does not match features");
-  }
-  const std::size_t k = w.rows();
-
-  dist.reshape(n, n);
-  max_out = 0.0;
-  if (k == 0) return;  // zero covariance: dist is all zeros, max is 0
-
-  linalg::Workspace::Lease y = ws.lease(n, k);
-  linalg::kernels::gemm_nt(n, k, d, x.data().data(), d, w.data().data(), d,
-                           y->data().data(), k);
-  linalg::Workspace::Lease gram = ws.lease(n, n);
-  {
-    linalg::Workspace::Lease at = ws.lease_uninit(k, n);  // syrk Aᵀ scratch
-    linalg::kernels::syrk_nt(n, k, y->data().data(), k, at->data().data(),
-                             gram->data().data(), n);
-  }
-  linalg::Workspace::Lease norms = ws.lease(1, n);
-  // Same kernel sweep as gram_to_dist plus a per-row running max over the
-  // lower triangle; symmetry + zero diagonal make that the full-matrix max.
-  linalg::kernels::gram_to_dist_max(n, gram->data().data(), n,
-                                    dist.data().data(), n,
-                                    norms->data().data(), &max_out);
-}
-
-void mahalanobis_distances_into(const linalg::Matrix& x,
-                                linalg::Workspace& ws, linalg::Matrix& dist) {
-  const std::size_t n = x.rows();
-  const std::size_t d = x.cols();
-  if (n == 0 || d == 0) {
-    throw std::invalid_argument("mahalanobis_distances: empty feature table");
-  }
-  linalg::Workspace::Lease cov = ws.lease(d, d);
-  linalg::covariance_into(x, *cov);
-  const linalg::Matrix w = linalg::whitening_factor_spd(*cov);
-  mahalanobis_from_whitening_into(x, w, ws, dist);
-}
-
-linalg::Matrix mahalanobis_distances(const linalg::Matrix& x) {
-  linalg::Workspace ws;
-  linalg::Matrix dist;
-  mahalanobis_distances_into(x, ws, dist);
-  return dist;
-}
-
-linalg::Matrix mahalanobis_distances_naive(const linalg::Matrix& x) {
-  const std::size_t n = x.rows();
-  const std::size_t d = x.cols();
-  if (n == 0 || d == 0) {
-    throw std::invalid_argument("mahalanobis_distances: empty feature table");
-  }
-  const linalg::Matrix cov = linalg::covariance(x);
-  const linalg::Matrix p = linalg::pseudo_inverse_spd(cov);
-
-  linalg::Matrix dist(n, n);
-  std::vector<double> diff(d);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      for (std::size_t k = 0; k < d; ++k) diff[k] = x(i, k) - x(j, k);
-      // d^2 = diff^T P diff
-      double acc = 0.0;
-      for (std::size_t r = 0; r < d; ++r) {
-        if (diff[r] == 0.0) continue;
-        double row = 0.0;
-        for (std::size_t c = 0; c < d; ++c) row += p(r, c) * diff[c];
-        acc += diff[r] * row;
-      }
-      const double dd = std::sqrt(std::max(acc, 0.0));
-      dist(i, j) = dd;
-      dist(j, i) = dd;
-    }
-  }
-  return dist;
-}
-
-void euclidean_distances_into(const linalg::Matrix& x, linalg::Matrix& dist) {
-  const std::size_t n = x.rows();
-  if (n == 0 || x.cols() == 0) {
-    throw std::invalid_argument("euclidean_distances: empty feature table");
-  }
-  dist.reshape(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      double acc = 0.0;
-      for (std::size_t k = 0; k < x.cols(); ++k) {
-        const double d = x(i, k) - x(j, k);
-        acc += d * d;
-      }
-      const double dd = std::sqrt(acc);
-      dist(i, j) = dd;
-      dist(j, i) = dd;
-    }
-  }
-}
-
-linalg::Matrix euclidean_distances(const linalg::Matrix& x) {
-  linalg::Matrix dist;
-  euclidean_distances_into(x, dist);
-  return dist;
-}
-
-linalg::Matrix spacing_penalty(std::size_t n, double lambda) {
-  if (n == 0 || lambda < 0.0) {
-    throw std::invalid_argument("spacing_penalty: bad arguments");
-  }
-  linalg::Matrix r(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double v =
-          1.0 - std::exp(-lambda * static_cast<double>(j - i));
-      r(i, j) = v;
-      r(j, i) = v;
-    }
-  }
-  return r;
-}
-
-void power_distance_blend_into(const DistanceParams& params,
-                               linalg::Workspace& ws, linalg::Matrix& out) {
-  const std::size_t n = out.rows();
-
-  // Normalize the feature distance to [0, 1] so alpha weighs two
-  // commensurate terms regardless of feature dimensionality.
+  out.reshape_no_fill(n, n);
   double max_d = 0.0;
-  for (const double v : out.data()) max_d = std::max(max_d, v);
-  const double inv_max = max_d > 0.0 ? 1.0 / max_d : 1.0;
-
-  // The spacing penalty depends only on |i - j|: one exp per offset, then a
-  // single fused normalize-and-blend kernel pass over the one output matrix
-  // (previously: three n x n matrices and a separate max-scan).
-  linalg::Workspace::Lease penalty = ws.lease_uninit(1, n);
-  fill_penalty(params.lambda, n, *penalty);
-  linalg::kernels::dist_blend(n, params.alpha, inv_max, 1.0 - params.alpha,
-                              penalty->data().data(), out.data().data(), n);
-}
-
-void power_distance_blend_adj_into(const DistanceParams& params, double max_d,
-                                   double eps, linalg::Workspace& ws,
-                                   linalg::Matrix& out, EpsAdjacency& adj) {
-  if (eps <= 0.0) {
-    throw std::invalid_argument("power_distance_blend_adj: eps must be > 0");
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      double acc = 0.0;
+      for (std::size_t c = 0; c < d; ++c) {
+        const double diff = x(i, c) - x(j, c);
+        acc += diff * diff;
+      }
+      out(i, j) = std::sqrt(acc);
+      max_d = std::max(max_d, out(i, j));
+    }
   }
-  const std::size_t n = out.rows();
   const double inv_max = max_d > 0.0 ? 1.0 / max_d : 1.0;
+  const double alpha = params.alpha;
+  const double beta = 1.0 - params.alpha;
 
   linalg::Workspace::Lease penalty = ws.lease_uninit(1, n);
   fill_penalty(params.lambda, n, *penalty);
-  // Same blend arithmetic as power_distance_blend_into; the kernel's row
-  // epilogue additionally packs every entry <= eps into a neighbor bitmap,
-  // so the ε-adjacency costs no second pass over the matrix.
+  const double* pen = penalty->data().data();
   const std::size_t words = (n + 63) / 64;
   std::vector<std::uint64_t> bits(n * words);
+  const auto set_bit = [&](std::size_t row, std::size_t col) {
+    bits[row * words + col / 64] |= std::uint64_t{1} << (col % 64);
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      const double v = alpha * (out(i, j) * inv_max) + beta * pen[i - j];
+      out(i, j) = v;
+      if (v <= eps) {
+        set_bit(i, j);
+        set_bit(j, i);
+      }
+    }
+    out(i, i) = 0.0;
+    set_bit(i, i);
+  }
   std::vector<std::size_t> degree(n);
-  linalg::kernels::dist_blend_adj(n, params.alpha, inv_max, 1.0 - params.alpha,
-                                  penalty->data().data(), out.data().data(), n,
-                                  eps, bits.data(), words, degree.data());
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t w = 0; w < words; ++w) {
+      degree[i] +=
+          static_cast<std::size_t>(std::popcount(bits[i * words + w]));
+    }
+  }
   adj = EpsAdjacency::from_bitmap(n, bits.data(), words, degree.data());
 }
 
-void power_distance_matrix_adj_into(const linalg::Matrix& scaled_features,
-                                    const DistanceParams& params, double eps,
-                                    linalg::Workspace& ws, linalg::Matrix& out,
-                                    EpsAdjacency& adj) {
-  if (params.alpha < 0.0 || params.alpha > 1.0) {
-    throw std::invalid_argument("power_distance_matrix: alpha outside [0,1]");
-  }
-  if (params.metric == FeatureMetric::kMahalanobis) {
-    const std::size_t d = scaled_features.cols();
-    if (scaled_features.rows() == 0 || d == 0) {
-      throw std::invalid_argument(
-          "mahalanobis_distances: empty feature table");
-    }
-    linalg::Workspace::Lease cov = ws.lease(d, d);
-    linalg::covariance_into(scaled_features, *cov);
-    const linalg::Matrix w = linalg::whitening_factor_spd(*cov);
-    // Triangular fused tail: no intermediate distance matrix, no mirror
-    // writes — the blended lower half + symmetric ε-bitmap in one sweep.
-    mahalanobis_blend_adj_lower_into(scaled_features, w, params, eps, ws, out,
-                                     adj);
-  } else {
-    double max_d = 0.0;
-    euclidean_distances_into(scaled_features, out);
-    for (const double v : out.data()) max_d = std::max(max_d, v);
-    power_distance_blend_adj_into(params, max_d, eps, ws, out, adj);
-  }
-}
-
-void power_distance_matrix_into(const linalg::Matrix& scaled_features,
-                                const DistanceParams& params,
-                                linalg::Workspace& ws, linalg::Matrix& out) {
-  if (params.alpha < 0.0 || params.alpha > 1.0) {
-    throw std::invalid_argument("power_distance_matrix: alpha outside [0,1]");
-  }
-  if (params.metric == FeatureMetric::kMahalanobis) {
-    mahalanobis_distances_into(scaled_features, ws, out);
-  } else {
-    euclidean_distances_into(scaled_features, out);
-  }
-  power_distance_blend_into(params, ws, out);
-}
-
-void power_distance_matrix_batch_into(
-    std::span<const linalg::Matrix* const> tables,
-    const DistanceParams& params, linalg::Workspace& ws,
-    std::span<linalg::Matrix* const> dists) {
-  if (tables.size() != dists.size()) {
-    throw std::invalid_argument(
-        "power_distance_matrix_batch: tables/dists size mismatch");
-  }
-  if (params.alpha < 0.0 || params.alpha > 1.0) {
-    throw std::invalid_argument("power_distance_matrix: alpha outside [0,1]");
-  }
-  if (tables.empty()) return;
-
-  if (params.metric != FeatureMetric::kMahalanobis) {
-    for (std::size_t i = 0; i < tables.size(); ++i) {
-      euclidean_distances_into(*tables[i], *dists[i]);
-      power_distance_blend_into(params, ws, *dists[i]);
-    }
-    return;
-  }
-
-  // One covariance per table, then ONE shared eigendecomposition batch —
-  // the per-table arithmetic is exactly the serial path's, so each output
-  // matrix is bitwise identical to power_distance_matrix_into on its table.
-  std::vector<linalg::Workspace::Lease> covs;
-  covs.reserve(tables.size());
-  std::vector<const linalg::Matrix*> cov_ptrs;
-  cov_ptrs.reserve(tables.size());
-  for (const linalg::Matrix* x : tables) {
-    if (x->rows() == 0 || x->cols() == 0) {
-      throw std::invalid_argument(
-          "mahalanobis_distances: empty feature table");
-    }
-    covs.push_back(ws.lease(x->cols(), x->cols()));
-    linalg::covariance_into(*x, *covs.back());
-    cov_ptrs.push_back(&*covs.back());
-  }
-  const std::vector<linalg::Matrix> factors =
-      linalg::batched_whitening(cov_ptrs);
-  for (std::size_t i = 0; i < tables.size(); ++i) {
-    mahalanobis_from_whitening_into(*tables[i], factors[i], ws, *dists[i]);
-    power_distance_blend_into(params, ws, *dists[i]);
-  }
-}
-
+// Batched scaled-table pipeline: one covariance per table, then ONE shared
+// eigendecomposition batch; each table then finishes exactly as the serial
+// path does, so every output is bitwise the serial one.
 void power_distance_matrix_adj_batch_into(
     std::span<const linalg::Matrix* const> tables,
     const DistanceParams& params, std::span<const double> eps,
     linalg::Workspace& ws, std::span<linalg::Matrix* const> dists,
     std::span<EpsAdjacency* const> adjs) {
-  if (tables.size() != dists.size() || tables.size() != eps.size() ||
-      tables.size() != adjs.size()) {
-    throw std::invalid_argument(
-        "power_distance_matrix_adj_batch: span size mismatch");
-  }
-  if (params.alpha < 0.0 || params.alpha > 1.0) {
-    throw std::invalid_argument("power_distance_matrix: alpha outside [0,1]");
-  }
-  if (tables.empty()) return;
-
   if (params.metric != FeatureMetric::kMahalanobis) {
     for (std::size_t i = 0; i < tables.size(); ++i) {
       power_distance_matrix_adj_into(*tables[i], params, eps[i], ws,
@@ -404,36 +162,85 @@ void power_distance_matrix_adj_batch_into(
     }
     return;
   }
-
-  // Identical batching structure to power_distance_matrix_batch_into (one
-  // shared eigendecomposition batch), with the fused max + adjacency tail.
   std::vector<linalg::Workspace::Lease> covs;
   covs.reserve(tables.size());
   std::vector<const linalg::Matrix*> cov_ptrs;
   cov_ptrs.reserve(tables.size());
-  for (const linalg::Matrix* x : tables) {
-    if (x->rows() == 0 || x->cols() == 0) {
-      throw std::invalid_argument(
-          "mahalanobis_distances: empty feature table");
-    }
-    covs.push_back(ws.lease(x->cols(), x->cols()));
-    linalg::covariance_into(*x, *covs.back());
+  for (std::size_t i = 0; i < tables.size(); ++i) {
+    check_params(params, eps[i]);
+    check_table(*tables[i]);
+    covs.push_back(ws.lease(tables[i]->cols(), tables[i]->cols()));
+    linalg::covariance_into(*tables[i], *covs.back());
     cov_ptrs.push_back(&*covs.back());
   }
   const std::vector<linalg::Matrix> factors =
       linalg::batched_whitening(cov_ptrs);
   for (std::size_t i = 0; i < tables.size(); ++i) {
-    mahalanobis_blend_adj_lower_into(*tables[i], factors[i], params, eps[i],
-                                     ws, *dists[i], *adjs[i]);
+    mahalanobis_lower_into(*tables[i], factors[i], params, eps[i], ws,
+                           *dists[i], *adjs[i]);
   }
 }
 
-linalg::Matrix power_distance_matrix(const linalg::Matrix& scaled_features,
-                                     const DistanceParams& params) {
-  linalg::Workspace ws;
-  linalg::Matrix out;
-  power_distance_matrix_into(scaled_features, params, ws, out);
-  return out;
+// z-scores `table` with its own fitted scaler into a pooled buffer.
+linalg::Workspace::Lease scaled_lease(const linalg::Matrix& table,
+                                      linalg::Workspace& ws) {
+  linalg::StandardScaler scaler;
+  scaler.fit(table);
+  linalg::Workspace::Lease scaled = ws.lease(table.rows(), table.cols());
+  scaler.transform_into(table, *scaled);
+  return scaled;
+}
+
+}  // namespace
+
+void power_distance_matrix_adj_into(const linalg::Matrix& scaled_features,
+                                    const DistanceParams& params, double eps,
+                                    linalg::Workspace& ws, linalg::Matrix& out,
+                                    EpsAdjacency& adj) {
+  check_params(params, eps);
+  check_table(scaled_features);
+  if (params.metric != FeatureMetric::kMahalanobis) {
+    euclidean_lower_into(scaled_features, params, eps, ws, out, adj);
+    return;
+  }
+  const std::size_t d = scaled_features.cols();
+  linalg::Workspace::Lease cov = ws.lease(d, d);
+  linalg::covariance_into(scaled_features, *cov);
+  const linalg::Matrix w = linalg::whitening_factor_spd(*cov);
+  mahalanobis_lower_into(scaled_features, w, params, eps, ws, out, adj);
+}
+
+void power_distances_adj_into(const linalg::Matrix& depthwise_features,
+                              const DistanceParams& params, double eps,
+                              linalg::Workspace& ws, linalg::Matrix& dist,
+                              EpsAdjacency& adj) {
+  const linalg::Workspace::Lease scaled = scaled_lease(depthwise_features, ws);
+  power_distance_matrix_adj_into(*scaled, params, eps, ws, dist, adj);
+}
+
+void power_distances_adj_batch_into(
+    std::span<const linalg::Matrix* const> depthwise_tables,
+    const DistanceParams& params, std::span<const double> eps,
+    linalg::Workspace& ws, std::span<linalg::Matrix* const> dists,
+    std::span<EpsAdjacency* const> adjs) {
+  if (depthwise_tables.size() != dists.size() ||
+      depthwise_tables.size() != eps.size() ||
+      depthwise_tables.size() != adjs.size()) {
+    throw std::invalid_argument(
+        "power_distances_adj_batch: span size mismatch");
+  }
+  // Scale every table first (leases stay alive across the batch), then one
+  // batched distance call shares the eigendecomposition sweeps.
+  std::vector<linalg::Workspace::Lease> scaled;
+  scaled.reserve(depthwise_tables.size());
+  std::vector<const linalg::Matrix*> scaled_ptrs;
+  scaled_ptrs.reserve(depthwise_tables.size());
+  for (const linalg::Matrix* table : depthwise_tables) {
+    scaled.push_back(scaled_lease(*table, ws));
+    scaled_ptrs.push_back(&*scaled.back());
+  }
+  power_distance_matrix_adj_batch_into(scaled_ptrs, params, eps, ws, dists,
+                                       adjs);
 }
 
 }  // namespace powerlens::clustering

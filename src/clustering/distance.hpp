@@ -17,12 +17,26 @@
 // which is zero for an operator and itself, grows with |i-j|, and matches
 // the paper's described behaviour. DESIGN.md records this correction.
 //
-// Cost model: the Mahalanobis path factors the pseudo-inverse as
-// P = Wᵀ W (linalg::whitening_factor_spd), whitens the feature table with
-// one GEMM (Y = X Wᵀ), and reads every pairwise distance from
-// ‖yᵢ‖² + ‖yⱼ‖² − 2·(Y Yᵀ)ᵢⱼ — O(n·d²) + two GEMMs instead of the naive
-// O(n²·d²) per-pair quadratic form, which is kept as
-// mahalanobis_distances_naive() purely as the test/bench oracle.
+// One pipeline, one output contract. Every entry point below produces
+//   - `dist`: the blended power distance
+//       dist(i, j) = alpha · (d(i, j) / max d) + (1 - alpha) · R'(|i - j|)
+//     as a LOWER triangle plus a zero diagonal. The upper triangle is
+//     unspecified; blended values are symmetric, so consumers index
+//     (max(i, j), min(i, j)).
+//   - `adj`: the ε-threshold CSR adjacency of the full symmetric matrix at
+//     the requested eps, emitted in the same sweep that writes `dist`.
+// Hyperparameter sweeps build once at their largest eps and derive each
+// smaller eps with EpsAdjacency::narrowed (dbscan.hpp), an O(nnz) filter
+// over the widest adjacency instead of an O(n²) rescan.
+//
+// Cost model (Mahalanobis): the pseudo-inverse factors as P = Wᵀ W
+// (linalg::whitening_factor_spd); one GEMM whitens the table (Y = X Wᵀ),
+// syrk_nt writes the lower Gram triangle of Y, and every pairwise distance
+// reads ‖yᵢ‖² + ‖yⱼ‖² − 2·(Y Yᵀ)ᵢⱼ inside the fused kernels
+// (kernels::gram_dist_max, kernels::gram_blend_adj). A rank-0 covariance
+// (every row identical under P) runs the same kernels on an all-zero Gram.
+// The Euclidean ablation metric writes its lower triangle and ε-bitmap in
+// plain scalar code with the kernels' mul-then-add order.
 #pragma once
 
 #include "clustering/dbscan.hpp"
@@ -44,121 +58,31 @@ struct DistanceParams {
   FeatureMetric metric = FeatureMetric::kMahalanobis;
 };
 
-// Pairwise Mahalanobis distances between rows of the scaled feature table X
-// (layers x features), using pinv(cov(X)). Symmetric (bitwise — each pair is
-// computed once and mirrored), zero diagonal.
-linalg::Matrix mahalanobis_distances(const linalg::Matrix& x);
-// Same, with every temporary drawn from `ws` and the result written into
-// `dist` (reshaped) — the allocation-free serving-path variant.
-void mahalanobis_distances_into(const linalg::Matrix& x,
-                                linalg::Workspace& ws, linalg::Matrix& dist);
-
-// The post-eigendecomposition half of the pipeline: pairwise distances from
-// a precomputed whitening factor `w` of cov(x) (linalg::whitening_factor_spd
-// or one element of linalg::batched_whitening). mahalanobis_distances_into
-// is exactly covariance + whitening + this call; batched plan computation
-// uses the split to push many covariances through one shared
-// eigendecomposition batch and then finish each table here.
-void mahalanobis_from_whitening_into(const linalg::Matrix& x,
-                                     const linalg::Matrix& w,
-                                     linalg::Workspace& ws,
-                                     linalg::Matrix& dist);
-
-// Same, additionally reporting max(dist) — folded into the kernel's
-// triangular sweep (kernels::gram_to_dist_max) so the normalize-and-blend
-// tail never rescans the matrix. The matrix is symmetric with a zero
-// diagonal, so the lower-triangle max equals the full-matrix max the dense
-// path scans for: `max_out` is bitwise the same value.
-void mahalanobis_from_whitening_max_into(const linalg::Matrix& x,
-                                         const linalg::Matrix& w,
-                                         linalg::Workspace& ws,
-                                         linalg::Matrix& dist,
-                                         double& max_out);
-
-// Reference O(n²·d²) implementation (per-pair diffᵀ·pinv(cov)·diff). Kept
-// as the equivalence oracle for tests and the before/after benchmark; the
-// production path above must agree with it to within factorization rounding.
-linalg::Matrix mahalanobis_distances_naive(const linalg::Matrix& x);
-
-// Pairwise Euclidean distances between rows (ablation baseline).
-linalg::Matrix euclidean_distances(const linalg::Matrix& x);
-void euclidean_distances_into(const linalg::Matrix& x, linalg::Matrix& dist);
-
-// Spacing penalty matrix R'[i,j] = 1 - exp(-lambda * |i - j|).
-linalg::Matrix spacing_penalty(std::size_t n, double lambda);
-
-// Final power distance: alpha * feature_distance (normalized to [0, 1] by
-// its max) + (1 - alpha) * spacing penalty. The feature distance, max-scan,
-// and spacing blend are fused over a single output matrix (the penalty term
-// is generated from a per-offset table — no R matrix is materialized).
-// Throws std::invalid_argument on an empty table or alpha outside [0, 1].
-linalg::Matrix power_distance_matrix(const linalg::Matrix& scaled_features,
-                                     const DistanceParams& params);
-void power_distance_matrix_into(const linalg::Matrix& scaled_features,
-                                const DistanceParams& params,
-                                linalg::Workspace& ws, linalg::Matrix& out);
-
-// The normalize-and-blend tail of power_distance_matrix_into: `out` holds a
-// raw feature-distance matrix on entry and the final power distance on
-// exit. Exposed so the batched path can apply it after computing feature
-// distances from a shared whitening batch; power_distance_matrix_into is
-// exactly feature distances + this call.
-void power_distance_blend_into(const DistanceParams& params,
-                               linalg::Workspace& ws, linalg::Matrix& out);
-
-// Fused blend + ε-adjacency emission: same normalize-and-blend sweep as
-// power_distance_blend_into (bitwise — `out` is identical), but the kernel
-// additionally stamps each blended entry <= eps into a per-row neighbor
-// bitmap in the SAME pass, which lands in `adj` as a CSR adjacency — the
-// dense matrix is never rescanned to find ε-neighborhoods. `max_d` is the
-// max of `out` on entry (from mahalanobis_from_whitening_max_into or an
-// explicit scan); the caller supplies it because the fused distance kernels
-// already computed it. Requires eps > 0.
-void power_distance_blend_adj_into(const DistanceParams& params, double max_d,
-                                   double eps, linalg::Workspace& ws,
-                                   linalg::Matrix& out, EpsAdjacency& adj);
-
-// power_distance_matrix_into + the fused adjacency epilogue: `out` gets the
-// final power-distance matrix and `adj` its ε-threshold CSR adjacency. On
-// the Mahalanobis path the whole tail is TRIANGULAR: a prepass folds the
-// distance max straight out of the Gram matrix (kernels::gram_dist_max, no
-// intermediate matrix), then one fused sweep (kernels::gram_blend_adj)
-// writes the blended LOWER triangle + zero diagonal and emits the full
-// symmetric ε-bitmap — the mirror half of the matrix is never computed or
-// written, which removes the strided transpose traffic that dominated the
-// full-matrix pipeline. Contract: out(i, j) for j <= i is bitwise identical
-// to the non-adj variant's; the UPPER triangle is unspecified (consumers
-// index (max(i,j), min(i,j)) — blended values are symmetric). adj matches
-// EpsAdjacency::from_distances on the full symmetric matrix. The Euclidean
-// path still materializes the full matrix. The eps-aware cold-plan path:
-// DBSCAN's neighborhoods come out of the distance pipeline for free.
+// Power distances of an already-scaled feature table (row i == layer i):
+// `out` gets the blended lower triangle, `adj` its ε-adjacency. The
+// raw-feature ablation calls this directly on unscaled tables. Throws
+// std::invalid_argument on an empty table, alpha outside [0, 1],
+// lambda < 0, or eps <= 0.
 void power_distance_matrix_adj_into(const linalg::Matrix& scaled_features,
                                     const DistanceParams& params, double eps,
                                     linalg::Workspace& ws, linalg::Matrix& out,
                                     EpsAdjacency& adj);
 
-// Batched power distances for many scaled feature tables: with the
-// Mahalanobis metric, every table's covariance goes through ONE
-// linalg::batched_whitening call (shared Jacobi sweep rounds) before each
-// table finishes independently; with the Euclidean metric this is a plain
-// loop. dists[i] is bitwise identical to power_distance_matrix_into on
-// tables[i] — batching changes sharing, never results (test-asserted).
-// `tables` and `dists` must be the same length.
-void power_distance_matrix_batch_into(
-    std::span<const linalg::Matrix* const> tables,
-    const DistanceParams& params, linalg::Workspace& ws,
-    std::span<linalg::Matrix* const> dists);
+// Same, from an UNSCALED depthwise feature table: z-scores it with its own
+// fitted linalg::StandardScaler first (Algorithm 1 line 2).
+void power_distances_adj_into(const linalg::Matrix& depthwise_features,
+                              const DistanceParams& params, double eps,
+                              linalg::Workspace& ws, linalg::Matrix& dist,
+                              EpsAdjacency& adj);
 
-// Batched adjacency-emitting variant: the same shared-eigendecomposition
-// batching, finishing each table through the fused triangular max + blend
-// + adjacency path with its own eps[i] (per-graph hyperparameter
-// predictions differ). dists[i] follows power_distance_matrix_adj_into's
-// lower-triangle contract (lower half + diagonal bitwise identical to the
-// full-matrix pipeline, upper half unspecified on the Mahalanobis path);
-// adjs[i] matches EpsAdjacency::from_distances on the full symmetric
-// matrix. All spans must be the same length.
-void power_distance_matrix_adj_batch_into(
-    std::span<const linalg::Matrix* const> tables,
+// Batched variant over many networks' unscaled tables, with per-graph eps
+// (per-graph hyperparameter predictions differ). With the Mahalanobis
+// metric every covariance goes through ONE linalg::batched_whitening call
+// (shared Jacobi sweep rounds); dists[i]/adjs[i] are bitwise identical to
+// power_distances_adj_into on tables[i] — batching changes sharing, never
+// results. All spans must be the same length.
+void power_distances_adj_batch_into(
+    std::span<const linalg::Matrix* const> depthwise_tables,
     const DistanceParams& params, std::span<const double> eps,
     linalg::Workspace& ws, std::span<linalg::Matrix* const> dists,
     std::span<EpsAdjacency* const> adjs);

@@ -185,20 +185,40 @@ struct GridSweep {
   std::vector<ViewEvaluation> evals;
 };
 
-GridSweep sweep_hyperparam_grid(const linalg::Matrix& distances,
+GridSweep sweep_hyperparam_grid(const dnn::Graph& graph,
                                 const hw::CostTable& costs,
                                 const hw::Platform& platform,
                                 const DatasetGenConfig& config) {
+  const std::vector<double>& eps_values = config.grid.eps_values;
+  if (config.grid.size() == 0) {
+    throw std::invalid_argument("sweep_hyperparam_grid: empty grid");
+  }
+  // One fused distance sweep at the grid's largest eps; every smaller eps
+  // narrows that adjacency (O(nnz)) instead of rescanning the matrix.
+  linalg::Workspace ws;
+  linalg::Matrix distances;
+  clustering::EpsAdjacency widest;
+  clustering::power_distances_adj_into(
+      features::DepthwiseFeatureExtractor::extract(graph), config.distance,
+      *std::max_element(eps_values.begin(), eps_values.end()), ws, distances,
+      widest);
+  std::vector<clustering::EpsAdjacency> per_eps;
+  per_eps.reserve(eps_values.size());
+  for (const double eps : eps_values) {
+    per_eps.push_back(widest.narrowed(distances, eps));
+  }
+
   GridSweep sweep;
   const double min_duration = feasible_block_duration(costs, platform);
   std::vector<double> energies(config.grid.size());
   std::vector<std::size_t> block_counts(config.grid.size());
   double best_energy = -1.0;
   for (std::size_t k = 0; k < config.grid.size(); ++k) {
+    const std::size_t eps_index = k / config.grid.min_pts_values.size();
     sweep.views.push_back(enforce_min_block_duration(
         costs,
-        clustering::build_power_view_from_distances(distances,
-                                                    config.grid.at(k)),
+        clustering::build_power_view_from_adjacency(
+            distances, per_eps[eps_index], config.grid.at(k)),
         platform, min_duration));
     sweep.evals.push_back(evaluate_view_oracle(
         costs, sweep.views.back(), platform, config.cpu_level_for_labels));
@@ -228,21 +248,13 @@ GridSweep sweep_hyperparam_grid(const linalg::Matrix& distances,
   return sweep;
 }
 
-linalg::Matrix network_distances(const dnn::Graph& graph,
-                                 const DatasetGenConfig& config) {
-  return clustering::power_distances_for(
-      features::DepthwiseFeatureExtractor::extract(graph), config.distance);
-}
-
 }  // namespace
 
 std::size_t best_hyperparam_class(const dnn::Graph& graph,
                                   const hw::CostTable& costs,
                                   const hw::Platform& platform,
                                   const DatasetGenConfig& config) {
-  return sweep_hyperparam_grid(network_distances(graph, config), costs,
-                               platform, config)
-      .best_class;
+  return sweep_hyperparam_grid(graph, costs, platform, config).best_class;
 }
 
 std::size_t best_hyperparam_class(const dnn::Graph& graph,
@@ -304,9 +316,7 @@ GeneratedDatasets generate_datasets(const hw::Platform& platform,
     const hw::CostTable costs(
         platform, graph.layers(),
         label_cpu_levels(platform, cfg.cpu_level_for_labels));
-    const linalg::Matrix distances = network_distances(graph, cfg);
-    const GridSweep sweep =
-        sweep_hyperparam_grid(distances, costs, platform, cfg);
+    const GridSweep sweep = sweep_hyperparam_grid(graph, costs, platform, cfg);
 
     NetworkRows& out = rows[n];
 

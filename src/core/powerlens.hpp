@@ -166,7 +166,7 @@ class PowerLens {
 
   // Batched optimize(): plans many graphs in one call, pushing every
   // graph's clustering covariance through ONE shared eigendecomposition
-  // batch (clustering::power_distances_batch_into) instead of one
+  // batch (clustering::power_distances_adj_batch_into) instead of one
   // decomposition per graph. plans[i] is bitwise identical to
   // optimize(*graphs[i], ws) — batching changes wall-clock, never results
   // (test-asserted; the serving layer's coalesced plan-cache misses depend

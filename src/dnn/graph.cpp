@@ -83,6 +83,9 @@ std::int64_t Graph::batch_size() const noexcept {
 
 void Graph::validate() const {
   if (layers_.empty()) throw std::invalid_argument("Graph: empty");
+  std::int64_t flops = 0;
+  std::int64_t params = 0;
+  std::int64_t mem_bytes = 0;
   if (layers_.front().type != OpType::kInput) {
     throw std::invalid_argument("Graph: first layer must be kInput");
   }
@@ -118,6 +121,18 @@ void Graph::validate() const {
     if (l.flops < 0 || l.params < 0 || l.mem_bytes < 0) {
       throw std::invalid_argument("Graph: negative cost at layer '" + l.name +
                                   "'");
+    }
+    if (l.flops > kMaxLayerCost || l.params > kMaxLayerCost ||
+        l.mem_bytes > kMaxLayerCost) {
+      throw std::invalid_argument("Graph: cost above 2^53 at layer '" +
+                                  l.name + "'");
+    }
+    // The total_* aggregates must stay representable.
+    if (__builtin_add_overflow(flops, l.flops, &flops) ||
+        __builtin_add_overflow(params, l.params, &params) ||
+        __builtin_add_overflow(mem_bytes, l.mem_bytes, &mem_bytes)) {
+      throw std::invalid_argument("Graph: total cost overflows int64 at '" +
+                                  l.name + "'");
     }
   }
 }

@@ -10,6 +10,7 @@
 #include "dnn/layer.hpp"
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -60,9 +61,15 @@ class Graph {
   // The batch size of the graph's input layer (0 if the graph is empty).
   std::int64_t batch_size() const noexcept;
 
+  // Largest per-layer flops/params/mem_bytes validate() accepts: 2^53, the
+  // range where every integer converts to double exactly.
+  static constexpr std::int64_t kMaxLayerCost = std::int64_t{1} << 53;
+
   // Validates the topological invariant (every producer id < consumer id),
-  // shape consistency along edges, and that exactly the first layer is
-  // kInput. Throws std::invalid_argument describing the first violation.
+  // shape consistency along edges, that exactly the first layer is kInput,
+  // and that every layer cost lies in [0, kMaxLayerCost] with int64 totals
+  // (so total_flops/total_params/total_mem_bytes cannot overflow). Throws
+  // std::invalid_argument describing the first violation.
   void validate() const;
 
   // Field-exact equality (name, every layer, every edge); consumers are

@@ -182,31 +182,6 @@ void syrk_nt(std::size_t n, std::size_t k, const double* a, std::size_t lda,
   table().syrk_nt(n, k, a, lda, at, c, ldc);
 }
 
-void gram_to_dist(std::size_t n, const double* g, std::size_t ldg,
-                  double* dist, std::size_t ldd, double* scratch) {
-  table().gram_to_dist(n, g, ldg, dist, ldd, scratch, nullptr);
-}
-
-void gram_to_dist_max(std::size_t n, const double* g, std::size_t ldg,
-                      double* dist, std::size_t ldd, double* scratch,
-                      double* max_out) {
-  table().gram_to_dist(n, g, ldg, dist, ldd, scratch, max_out);
-}
-
-void dist_blend(std::size_t n, double alpha, double inv_max, double beta,
-                const double* penalty, double* out, std::size_t ldo) {
-  table().dist_blend(n, alpha, inv_max, beta, penalty, out, ldo, 0.0,
-                     nullptr, 0, nullptr);
-}
-
-void dist_blend_adj(std::size_t n, double alpha, double inv_max, double beta,
-                    const double* penalty, double* out, std::size_t ldo,
-                    double eps, std::uint64_t* bits, std::size_t words,
-                    std::size_t* degree) {
-  table().dist_blend(n, alpha, inv_max, beta, penalty, out, ldo, eps, bits,
-                     words, degree);
-}
-
 void gram_dist_max(std::size_t n, const double* g, std::size_t ldg,
                    double* scratch, double* max_out) {
   table().gram_dist_max(n, g, ldg, scratch, max_out);

@@ -157,58 +157,16 @@ void col_sums(std::size_t m, std::size_t n, const double* g, std::size_t ldg,
 void syrk_nt(std::size_t n, std::size_t k, const double* a, std::size_t lda,
              double* at, double* c, std::size_t ldc);
 
-// Pairwise-distance epilogue over a lower-triangle Gram matrix g (n x n,
-// ldg): writes the FULL symmetric dist (ldd) with
-//   dist(i, j) = sqrt(max0(g(i,i) + g(j,j) - 2·g(max(i,j), min(i,j))))
-// and a zero diagonal. max0 is the ReLU clamp (v > 0 ? v : 0; NaN and -0.0
-// normalize to +0.0) and sqrt the IEEE correctly-rounded root, so every
-// dispatch path produces the same bits. `scratch` must hold n doubles (it
-// receives the Gram diagonal so column norms load contiguously).
-void gram_to_dist(std::size_t n, const double* g, std::size_t ldg,
-                  double* dist, std::size_t ldd, double* scratch);
-
-// Same epilogue, additionally folding the matrix maximum into *max_out in
-// the same sweep (the normalize scan the blend needs, saved from a second
-// full-matrix pass). max of non-NaN doubles is order-independent — the
-// result is an element of the set, whatever the reduction order — so the
-// fused fold is bitwise identical to a separate scan on every path.
-void gram_to_dist_max(std::size_t n, const double* g, std::size_t ldg,
-                      double* dist, std::size_t ldd, double* scratch,
-                      double* max_out);
-
-// Fused normalize-and-blend over an n x n matrix, in place:
-//   out(i, j) = alpha · (out(i, j) · inv_max) + beta · penalty[|i - j|]
-// with `penalty` holding n doubles indexed by |i - j|. Every element is
-// computed along full rows (cache-friendly; the j < i region loads the
-// penalty table reversed — a pure permutation). Operation order matches
-// the scalar expression alpha * (v * inv_max) + beta * p on every path.
-void dist_blend(std::size_t n, double alpha, double inv_max, double beta,
-                const double* penalty, double* out, std::size_t ldo);
-
-// Fused blend + ε-threshold adjacency emission: the identical in-place
-// blend, and in the same row sweep each blended value is tested against
-// `eps` (<=, matching the classic neighbor predicate) while the row is
-// still cache-hot. Row i's neighbor set lands in the packed bitmap words
-// [i * words, (i + 1) * words) — bit j set iff out(i, j) <= eps, self
-// included because the blended diagonal is exactly 0 — and degree[i]
-// receives the row's neighbor count. The blended values are computed by
-// the same expression as dist_blend, so the matrix bits are unchanged and
-// the adjacency is a pure function of them (path-invariant by extension).
-// `words` must be at least ceil(n / 64).
-void dist_blend_adj(std::size_t n, double alpha, double inv_max, double beta,
-                    const double* penalty, double* out, std::size_t ldo,
-                    double eps, std::uint64_t* bits, std::size_t words,
-                    std::size_t* degree);
-
 // Triangular distance-pipeline prepass over a lower-triangle Gram matrix
 // (as syrk_nt leaves it): fills `scratch` (n doubles) with the Gram
-// diagonal and stores into *max_out the maximum of the distance matrix
-// gram_to_dist would produce — without materializing it. The fold runs
-// over the raw squared distances and applies max0 + sqrt once to the fold
-// result; both maps are monotone non-decreasing and sqrt is correctly
-// rounded, so the result is bitwise identical to scanning the full sqrt'd
-// matrix (gram_to_dist_max's fused fold). max over non-NaN doubles is
-// reduction-order independent up to the sign of zero, which max0
+// diagonal and stores into *max_out the maximum of the pairwise distances
+//   dist(i, j) = sqrt(max0(g(i,i) + g(j,j) - 2·g(max(i,j), min(i,j))))
+// (max0 is the ReLU clamp v > 0 ? v : 0; NaN and -0.0 normalize to +0.0)
+// without materializing them. The fold runs over the raw squared distances
+// and applies max0 + sqrt once to the fold result; both maps are monotone
+// non-decreasing and sqrt is correctly rounded, so the result is bitwise
+// identical to scanning the full sqrt'd matrix. max over non-NaN doubles
+// is reduction-order independent up to the sign of zero, which max0
 // normalizes — every dispatch path agrees.
 void gram_dist_max(std::size_t n, const double* g, std::size_t ldg,
                    double* scratch, double* max_out);
@@ -217,13 +175,14 @@ void gram_dist_max(std::size_t n, const double* g, std::size_t ldg,
 // over the lower Gram triangle writes the blended power distance
 //   out(i, j) = alpha · (sqrt(max0(nᵢ + nⱼ - 2·g(i,j))) · inv_max)
 //               + beta · penalty[i - j]
-// for j < i plus a zero diagonal — bitwise identical, element for
-// element, to gram_to_dist followed by dist_blend (the intermediate
-// distance round-trips through a register instead of memory, which
-// preserves bits) — and emits the full symmetric ε-bitmap + degrees in
-// the same pass: bit (i, j) from the freshly blended row half, bit (j, i)
-// mirrored because blended values are symmetric. The upper triangle of
-// `out` is never written; consumers index (max(i,j), min(i,j)).
+// for j < i plus a zero diagonal — every element bitwise identical to the
+// scalar expression in that order (mul-then-add, correctly rounded sqrt),
+// so the full symmetric matrix a scalar loop would write agrees with it
+// entry for entry — and emits the full symmetric ε-bitmap + degrees in
+// the same pass: bit (i, j) iff out(i, j) <= eps (self included: the
+// diagonal is +0.0), bit (j, i) mirrored because blended values are
+// symmetric. The upper triangle of `out` is never written; consumers index
+// (max(i,j), min(i,j)).
 // `scratch` must hold the Gram diagonal (gram_dist_max fills it), `bits`
 // n·words words (zeroed by this kernel), `degree` n counters.
 void gram_blend_adj(std::size_t n, const double* g, std::size_t ldg,

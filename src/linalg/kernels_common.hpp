@@ -83,17 +83,6 @@ struct KernelTable {
   // it so the rank-1 update loop streams contiguous rows.
   void (*syrk_nt)(std::size_t n, std::size_t k, const double* a,
                   std::size_t lda, double* at, double* c, std::size_t ldc);
-  // `max_out` may be null; when set it receives the matrix maximum folded
-  // in the same sweep.
-  void (*gram_to_dist)(std::size_t n, const double* g, std::size_t ldg,
-                       double* dist, std::size_t ldd, double* scratch,
-                       double* max_out);
-  // `bits`/`degree` may be null (plain blend); when set, row i's
-  // ε-neighbor bitmap lands in bits[i*words ..] and degree[i] its count.
-  void (*dist_blend)(std::size_t n, double alpha, double inv_max, double beta,
-                     const double* penalty, double* out, std::size_t ldo,
-                     double eps, std::uint64_t* bits, std::size_t words,
-                     std::size_t* degree);
   void (*cost_plane_fill)(std::size_t layers, const double* flops,
                           const double* eff, const double* memory_s,
                           const unsigned char* active,
@@ -530,144 +519,19 @@ void syrk_nt_body(std::size_t n, std::size_t k, const double* a,
   }
 }
 
-// Pairwise-distance epilogue over a lower-triangle Gram matrix: writes the
-// FULL symmetric dist with
-//   dist(i, j) = dist(j, i) = sqrt(max0((g(i,i) + g(j,j)) + (-2)·g(i,j)))
-// for j < i, and a zero diagonal. (-2)·g is bitwise -(2·g) and a + (-b) is
-// bitwise a - b, so the value matches the classic scalar expression
-// ni + nj - 2·g exactly; max0 and sqrt are bitwise-pinned by the Ops
-// contract. `scratch` (capacity n) receives the Gram diagonal so the
-// per-row pass loads the column norms contiguously. The scalar tail (j in
-// [i & ~3, i)) runs the same mul-then-add order as the vector lanes.
-//
-// When `max_out` is non-null it receives the maximum over every written
-// entry, folded from a cheap scalar scan of each freshly written (L1-hot)
-// row half. max over non-NaN doubles is reduction-order independent — the
-// result is an element of the written set — so the fused fold matches a
-// separate full-matrix scan bit for bit on every dispatch path.
-template <class Ops>
-void gram_to_dist_body(std::size_t n, const double* g, std::size_t ldg,
-                       double* dist, std::size_t ldd, double* scratch,
-                       double* max_out) {
-  using Vec = typename Ops::Vec;
-  for (std::size_t i = 0; i < n; ++i) scratch[i] = g[i * ldg + i];
-  const Vec neg2 = Ops::broadcast(-2.0);
-  double max_d = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const Vec ni = Ops::broadcast(scratch[i]);
-    const double* gi = g + i * ldg;
-    double* di = dist + i * ldd;
-    const std::size_t j4 = i & ~std::size_t{3};
-    std::size_t j = 0;
-    for (; j < j4; j += 4) {
-      const Vec s = Ops::add(ni, Ops::load(scratch + j));
-      const Vec t = Ops::mul_add(s, neg2, Ops::load(gi + j));
-      const Vec v = Ops::sqrt(Ops::max0(t));
-      Ops::store(di + j, v);
-      dist[(j + 0) * ldd + i] = di[j + 0];
-      dist[(j + 1) * ldd + i] = di[j + 1];
-      dist[(j + 2) * ldd + i] = di[j + 2];
-      dist[(j + 3) * ldd + i] = di[j + 3];
-    }
-    for (; j < i; ++j) {
-      const double s = scratch[i] + scratch[j];
-      const double t = s + -2.0 * gi[j];
-      const double v = std::sqrt(t > 0.0 ? t : 0.0);
-      di[j] = v;
-      dist[j * ldd + i] = v;
-    }
-    di[i] = 0.0;
-    if (max_out != nullptr) {
-      for (std::size_t p = 0; p < i; ++p) {
-        max_d = std::max(max_d, di[p]);
-      }
-    }
-  }
-  if (max_out != nullptr) *max_out = max_d;
-}
-
-// Fused normalize-and-blend:
-//   out(i, j) = alpha · (out(i, j) · inv_max) + beta · penalty[|i - j|]
-// Every element is computed in place along cache-friendly full rows (a
-// mirror-the-triangle variant was measured SLOWER here: n²/2 strided
-// column writes cost more than n²/2 cheap recomputes). The penalty offset
-// |i - j| descends for j < i, so that region loads the table reversed —
-// a pure permutation, no arithmetic reordered. The operation order (inner
-// product first, then the alpha scale, then one mul-then-add against the
-// penalty term) is identical scalar and vector, element by element.
-// When `bits` is non-null the same row sweep also emits the ε-threshold
-// adjacency: after row i's blend (the row is L1-hot), each blended value
-// is tested `v <= eps` and bit j of row i's bitmap words is set, with
-// degree[i] counting the hits. The blend arithmetic is untouched — the
-// adjacency is a pure function of the blended bits, which every dispatch
-// path produces identically, so the bitmap is path-invariant too.
-template <class Ops>
-void dist_blend_body(std::size_t n, double alpha, double inv_max, double beta,
-                     const double* penalty, double* out, std::size_t ldo,
-                     double eps, std::uint64_t* bits, std::size_t words,
-                     std::size_t* degree) {
-  using Vec = typename Ops::Vec;
-  const Vec va = Ops::broadcast(alpha);
-  const Vec vim = Ops::broadcast(inv_max);
-  const Vec vb = Ops::broadcast(beta);
-  const auto scalar_at = [&](double* p, std::size_t off) {
-    *p = alpha * (*p * inv_max) + beta * penalty[off];
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    double* oi = out + i * ldo;
-    // j < i: offset i - j walks downward; load penalty[i-j-3 .. i-j] and
-    // reverse so lane l sees offset i - (j + l).
-    const std::size_t j4 = i & ~std::size_t{3};
-    std::size_t j = 0;
-    for (; j < j4; j += 4) {
-      const Vec scaled = Ops::mul(va, Ops::mul(Ops::load(oi + j), vim));
-      const Vec pen = Ops::reverse(Ops::load(penalty + (i - j - 3)));
-      Ops::store(oi + j, Ops::mul_add(scaled, vb, pen));
-    }
-    for (; j < i; ++j) scalar_at(oi + j, i - j);
-    // j >= i: offset j - i ascends; contiguous forward loads.
-    const std::size_t jend4 = i + ((n - i) & ~std::size_t{3});
-    for (; j < jend4; j += 4) {
-      const Vec scaled = Ops::mul(va, Ops::mul(Ops::load(oi + j), vim));
-      const Vec pen = Ops::load(penalty + (j - i));
-      Ops::store(oi + j, Ops::mul_add(scaled, vb, pen));
-    }
-    for (; j < n; ++j) scalar_at(oi + j, j - i);
-    if (bits != nullptr) {
-      std::uint64_t* row = bits + i * words;
-      std::size_t deg = 0;
-      std::uint64_t word = 0;
-      std::size_t w = 0;
-      for (std::size_t p = 0; p < n; ++p) {
-        if (oi[p] <= eps) {
-          word |= std::uint64_t{1} << (p & 63);
-          ++deg;
-        }
-        if ((p & 63) == 63) {
-          row[w++] = word;
-          word = 0;
-        }
-      }
-      if ((n & 63) != 0) row[w++] = word;
-      for (; w < words; ++w) row[w] = 0;
-      degree[i] = deg;
-    }
-  }
-}
-
 // Triangular distance-pipeline prepass over a lower-triangle Gram matrix:
 // fills `scratch` with the Gram diagonal and computes the maximum of the
-// pairwise-distance matrix gram_to_dist would produce — without writing a
-// single matrix element. The fold runs over the RAW squared distances
+// pairwise distances sqrt(max0(t(i, j))) — without writing a single
+// matrix element. The fold runs over the RAW squared distances
 //   t(i, j) = (g(i,i) + g(j,j)) + (-2)·g(i, j)          (j < i)
 // and applies the max0 + sqrt epilogue once, to the fold result. Both
 // max0 and the correctly-rounded sqrt are monotone non-decreasing maps,
-// so sqrt(max0(max t)) is bitwise identical to max over sqrt(max0(t)) —
-// the per-element sweep the mirror-writing kernel fused. The fold itself
+// so sqrt(max0(max t)) is bitwise identical to max over sqrt(max0(t)),
+// the per-element scan a scalar full-matrix loop runs. The fold itself
 // is order-independent for non-NaN inputs up to the sign of zero, which
 // max0 normalizes, so scalar tail, vector lanes, and every dispatch path
-// agree bit for bit. Seeding the fold with 0.0 matches the old scan's
-// 0.0-seeded max over non-negative roots.
+// agree bit for bit. Seeding the fold with 0.0 matches a 0.0-seeded scan
+// over non-negative roots.
 template <class Ops>
 void gram_dist_max_body(std::size_t n, const double* g, std::size_t ldg,
                         double* scratch, double* max_out) {
@@ -703,12 +567,13 @@ void gram_dist_max_body(std::size_t n, const double* g, std::size_t ldg,
 // over the lower Gram triangle computes
 //   out(i, j) = alpha · (sqrt(max0(t(i, j))) · inv_max) + beta · pen[i - j]
 // for j < i plus a zero diagonal, and emits the full symmetric ε-bitmap.
-// Operation for operation this is gram_to_dist's distance expression fed
-// straight into dist_blend's normalize-and-blend — a store/reload of the
-// intermediate distance is bit-preserving, so every written element is
-// bitwise identical to the two-kernel full-matrix pipeline's. The upper
+// The distance term is (ni + nj) + (-2)·g — bitwise ni + nj - 2·g, since
+// (-2)·g is exactly -(2·g) — and the blend runs inner product first, then
+// the alpha scale, then one mul-then-add against the penalty term: scalar
+// tail and vector lanes execute the same operations in the same order, so
+// every written element is bitwise the plain scalar expression. The upper
 // triangle of `out` is never touched: blended values are symmetric (same
-// mirror-copied distance, same |i - j| penalty offset), so consumers read
+// distance, same |i - j| penalty offset), so consumers read
 // out(max(i,j), min(i,j)).
 //
 // Adjacency: `scratch` must hold the Gram diagonal (gram_dist_max fills
@@ -716,7 +581,7 @@ void gram_dist_max_body(std::size_t n, const double* g, std::size_t ldg,
 // `v <= eps` runs IN REGISTER, on the very vector just stored
 // (Ops::le_mask) — comparing the register value equals comparing the
 // stored value, and le_mask is pinned ordered-≤ on every path, so the bit
-// pattern matches the full-matrix kernel's stored-value sweep exactly.
+// pattern matches a stored-value sweep of the full matrix exactly.
 // The 4-bit lane mask lands at `j & 63` of row i's current word (j is a
 // multiple of 4, so a nibble never straddles a word), and each set lane
 // mirrors bit (j+l, i) with a single scattered OR into row j+l's bitmap —
@@ -858,8 +723,6 @@ constexpr KernelTable make_table(DispatchPath path, const char* name) {
                      &gemv_body<Ops>,
                      &col_sums_body<Ops>,
                      &syrk_nt_body<Ops>,
-                     &gram_to_dist_body<Ops>,
-                     &dist_blend_body<Ops>,
                      &cost_plane_fill_body<Ops>,
                      &gram_dist_max_body<Ops>,
                      &gram_blend_adj_body<Ops>};

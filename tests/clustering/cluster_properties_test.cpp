@@ -15,6 +15,7 @@
 #include "clustering/dbscan.hpp"
 #include "clustering/distance.hpp"
 #include "clustering/postprocess.hpp"
+#include "support/distance_oracles.hpp"
 
 #include <gtest/gtest.h>
 
@@ -27,6 +28,11 @@
 
 namespace powerlens::clustering {
 namespace {
+
+// dbscan on the full-scan adjacency of a dense matrix.
+std::vector<int> dbscan(const linalg::Matrix& d, const DbscanParams& p) {
+  return testing::dbscan_dense(d, p);
+}
 
 linalg::Matrix random_features(std::mt19937_64& rng, std::size_t layers,
                                std::size_t features) {
@@ -112,15 +118,23 @@ TEST(ClusterPropertiesTest, DistanceMatricesAreWellFormed) {
          {FeatureMetric::kMahalanobis, FeatureMetric::kEuclidean}) {
       DistanceParams params;
       params.metric = metric;
-      const linalg::Matrix d = power_distances_for(features, params);
-      ASSERT_EQ(d.rows(), layers);
-      ASSERT_EQ(d.cols(), layers);
+      linalg::Workspace ws;
+      linalg::Matrix lower;
+      EpsAdjacency adj;
+      power_distances_adj_into(features, params, 0.3, ws, lower, adj);
+      ASSERT_EQ(lower.rows(), layers);
+      ASSERT_EQ(lower.cols(), layers);
+      // The lower triangle mirrored is the full-matrix oracle bit for bit,
+      // so the symmetric matrix it stands for is exactly symmetric.
+      const linalg::Matrix d = testing::symmetric_from_lower(lower);
+      const linalg::Matrix full =
+          testing::power_distances_oracle(features, params);
       for (std::size_t i = 0; i < layers; ++i) {
         EXPECT_EQ(d(i, i), 0.0) << "seed " << seed;
         for (std::size_t j = 0; j < layers; ++j) {
           EXPECT_TRUE(std::isfinite(d(i, j))) << "seed " << seed;
           EXPECT_GE(d(i, j), 0.0) << "seed " << seed;
-          EXPECT_EQ(d(i, j), d(j, i)) << "seed " << seed;
+          EXPECT_EQ(d(i, j), full(i, j)) << "seed " << seed;
         }
       }
     }

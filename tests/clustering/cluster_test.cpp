@@ -79,8 +79,12 @@ TEST(BuildPowerView, PrecomputedDistancesMatchDirectPath) {
 
   const linalg::Matrix features =
       features::DepthwiseFeatureExtractor::extract(g);
-  const linalg::Matrix dist = power_distances_for(features, cfg.distance);
-  const PowerView via = build_power_view_from_distances(dist, cfg.hyper);
+  linalg::Workspace ws;
+  linalg::Matrix dist;
+  EpsAdjacency adj;
+  power_distances_adj_into(features, cfg.distance, cfg.hyper.eps, ws, dist,
+                           adj);
+  const PowerView via = build_power_view_from_adjacency(dist, adj, cfg.hyper);
   ASSERT_EQ(direct.block_count(), via.block_count());
   for (std::size_t i = 0; i < direct.block_count(); ++i) {
     EXPECT_EQ(direct.blocks()[i], via.blocks()[i]);

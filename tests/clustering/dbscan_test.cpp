@@ -1,7 +1,10 @@
 #include "clustering/dbscan.hpp"
 
+#include "support/distance_oracles.hpp"
+
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 #include <set>
@@ -10,6 +13,21 @@ namespace powerlens::clustering {
 namespace {
 
 using linalg::Matrix;
+using testing::dbscan_reference;
+
+// dbscan on the full-scan adjacency of a dense matrix.
+std::vector<int> dbscan(const Matrix& d, const DbscanParams& p) {
+  return testing::dbscan_dense(d, p);
+}
+using clustering::dbscan;
+
+// The widest adjacency of `d` (every entry <= the matrix max), packed the
+// way the distance pipeline emits it.
+EpsAdjacency widest_adjacency(const Matrix& d) {
+  double mx = 0.0;
+  for (const double v : d.data()) mx = std::max(mx, v);
+  return testing::adjacency_oracle(d, mx + 1.0);
+}
 
 // Distance matrix for points on a line.
 Matrix line_distances(const std::vector<double>& pts) {
@@ -117,11 +135,14 @@ TEST(Dbscan, LabelsAreContiguousFromZero) {
 }
 
 TEST(Dbscan, RejectsBadArguments) {
-  const Matrix d = line_distances({0.0, 1.0});
-  EXPECT_THROW(dbscan(d, {0.0, 2}), std::invalid_argument);
-  EXPECT_THROW(dbscan(d, {0.5, 0}), std::invalid_argument);
-  EXPECT_THROW(dbscan(Matrix(2, 3), {0.5, 2}), std::invalid_argument);
-  EXPECT_THROW(dbscan(Matrix(), {0.5, 2}), std::invalid_argument);
+  const EpsAdjacency adj =
+      testing::adjacency_oracle(line_distances({0.0, 1.0}), 0.5);
+  EXPECT_THROW(dbscan(adj, {0.0, 2}), std::invalid_argument);
+  EXPECT_THROW(dbscan(adj, {0.5, 0}), std::invalid_argument);
+  EpsAdjacency truncated = adj;
+  truncated.offsets.pop_back();
+  EXPECT_THROW(dbscan(truncated, {0.5, 2}), std::invalid_argument);
+  EXPECT_THROW(dbscan(EpsAdjacency{}, {0.5, 2}), std::invalid_argument);
 }
 
 TEST(Dbscan, DeterministicLabels) {
@@ -131,12 +152,12 @@ TEST(Dbscan, DeterministicLabels) {
   EXPECT_EQ(a, b);
 }
 
-// --- CSR fast path vs the dense reference implementation ---
+// --- CSR DBSCAN vs the dense reference implementation ---
 //
-// The production dbscan() now expands over an ε-threshold CSR adjacency
-// with a frontier that never re-enqueues labeled points. These tests pin
-// its labels to dbscan_reference(), the pre-CSR implementation kept
-// verbatim as the oracle — field-exact equality, not just same clustering.
+// The production dbscan() expands over an ε-threshold CSR adjacency with a
+// frontier that never re-enqueues labeled points. These tests pin its
+// labels to dbscan_reference(), the classic dense-matrix implementation
+// kept as the test oracle — field-exact equality, not just same clustering.
 
 TEST(DbscanCsr, MatchesReferenceOnSeededRandomDatasets) {
   for (const std::uint64_t seed : {1u, 7u, 23u, 101u, 555u}) {
@@ -194,15 +215,18 @@ TEST(DbscanCsr, MatchesReferenceBorderAttribution) {
 }
 
 TEST(DbscanCsr, AdjacencyOverloadMatchesMatrixOverload) {
+  // Narrowing the widest adjacency yields the same labels as scanning the
+  // matrix at eps directly.
   const Matrix d = random_distances(40, 77);
   const DbscanParams p{0.5, 3};
-  const EpsAdjacency adj = EpsAdjacency::from_distances(d, p.eps);
+  const EpsAdjacency adj = widest_adjacency(d).narrowed(d, p.eps);
   EXPECT_EQ(dbscan(adj, p), dbscan(d, p));
+  EXPECT_EQ(dbscan(adj, p), dbscan_reference(d, p));
 }
 
 TEST(EpsAdjacency, RowsAreAscendingAndIncludeSelf) {
   const Matrix d = random_distances(33, 3);
-  const EpsAdjacency adj = EpsAdjacency::from_distances(d, 0.5);
+  const EpsAdjacency adj = widest_adjacency(d).narrowed(d, 0.5);
   ASSERT_EQ(adj.n, 33u);
   for (std::size_t i = 0; i < adj.n; ++i) {
     const std::uint32_t* row = adj.row(i);
@@ -235,16 +259,17 @@ TEST(EpsAdjacency, FromBitmapMatchesFromDistances) {
   }
   const EpsAdjacency from_bits =
       EpsAdjacency::from_bitmap(n, bits.data(), words, degree.data());
-  const EpsAdjacency from_dist = EpsAdjacency::from_distances(d, eps);
+  const EpsAdjacency from_dist = testing::adjacency_oracle(d, eps);
   EXPECT_EQ(from_bits.offsets, from_dist.offsets);
   EXPECT_EQ(from_bits.neighbors, from_dist.neighbors);
 }
 
 TEST(EpsAdjacency, RejectsBadArguments) {
   const Matrix d = line_distances({0.0, 1.0});
-  EXPECT_THROW(EpsAdjacency::from_distances(d, 0.0), std::invalid_argument);
-  EXPECT_THROW(EpsAdjacency::from_distances(Matrix(2, 3), 0.5),
-               std::invalid_argument);
+  const EpsAdjacency adj = widest_adjacency(d);
+  EXPECT_THROW(adj.narrowed(d, 0.0), std::invalid_argument);
+  EXPECT_THROW(adj.narrowed(Matrix(2, 3), 0.5), std::invalid_argument);
+  EXPECT_THROW(adj.narrowed(Matrix(3, 3), 0.5), std::invalid_argument);
   EXPECT_THROW(dbscan(EpsAdjacency{}, {0.5, 2}), std::invalid_argument);
 }
 

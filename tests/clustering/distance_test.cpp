@@ -1,9 +1,11 @@
 #include "clustering/distance.hpp"
 
 #include "linalg/workspace.hpp"
+#include "support/distance_oracles.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 #include <stdexcept>
@@ -14,9 +16,46 @@ namespace {
 
 using linalg::Matrix;
 
+// The pipeline's output as a full symmetric matrix (its upper triangle is
+// unspecified by contract; blended values are symmetric).
+Matrix power_distances(const Matrix& scaled, const DistanceParams& p,
+                       double eps = 1.0) {
+  linalg::Workspace ws;
+  Matrix out;
+  EpsAdjacency adj;
+  power_distance_matrix_adj_into(scaled, p, eps, ws, out, adj);
+  return testing::symmetric_from_lower(out);
+}
+
+// Pure feature distances normalized to unit max (alpha = 1).
+Matrix feature_distances(const Matrix& scaled,
+                         FeatureMetric metric = FeatureMetric::kMahalanobis) {
+  DistanceParams p;
+  p.alpha = 1.0;
+  p.metric = metric;
+  return power_distances(scaled, p);
+}
+
+Matrix normalized(Matrix m) {
+  double mx = 0.0;
+  for (const double v : m.data()) mx = std::max(mx, v);
+  for (double& v : m.data()) v /= mx;
+  return m;
+}
+
+// Lower triangle + diagonal bitwise equal.
+void expect_lower_bitwise(const Matrix& got, const Matrix& want) {
+  ASSERT_EQ(got.rows(), want.rows());
+  for (std::size_t i = 0; i < got.rows(); ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      ASSERT_EQ(got(i, j), want(i, j)) << "(" << i << ", " << j << ")";
+    }
+  }
+}
+
 TEST(Mahalanobis, ZeroDiagonalSymmetric) {
   const Matrix x{{1.0, 2.0}, {3.0, 1.0}, {0.0, 5.0}, {2.0, 2.0}};
-  const Matrix d = mahalanobis_distances(x);
+  const Matrix d = feature_distances(x);
   for (std::size_t i = 0; i < d.rows(); ++i) {
     EXPECT_DOUBLE_EQ(d(i, i), 0.0);
     for (std::size_t j = 0; j < d.cols(); ++j) {
@@ -29,27 +68,28 @@ TEST(Mahalanobis, ScaleInvariance) {
   // Mahalanobis whitens by covariance: multiplying one feature column by a
   // constant must not change pairwise distances (unlike Euclidean).
   Matrix x{{1.0, 2.0}, {3.0, 1.0}, {0.0, 5.0}, {2.0, 2.0}, {4.0, 0.5}};
-  const Matrix d1 = mahalanobis_distances(x);
+  const Matrix d1 = feature_distances(x);
   Matrix scaled = x;
   for (std::size_t r = 0; r < x.rows(); ++r) scaled(r, 1) *= 1000.0;
-  const Matrix d2 = mahalanobis_distances(scaled);
+  const Matrix d2 = feature_distances(scaled);
   EXPECT_LT(Matrix::max_abs_diff(d1, d2), 1e-6);
 }
 
 TEST(Mahalanobis, EuclideanIsNotScaleInvariant) {
   Matrix x{{1.0, 2.0}, {3.0, 1.0}, {0.0, 5.0}};
-  const Matrix d1 = euclidean_distances(x);
+  const Matrix d1 = feature_distances(x, FeatureMetric::kEuclidean);
   Matrix scaled = x;
   for (std::size_t r = 0; r < x.rows(); ++r) scaled(r, 1) *= 1000.0;
-  const Matrix d2 = euclidean_distances(scaled);
-  EXPECT_GT(Matrix::max_abs_diff(d1, d2), 1.0);
+  const Matrix d2 = feature_distances(scaled, FeatureMetric::kEuclidean);
+  // Normalized to unit max, so the shift shows in the distance ratios.
+  EXPECT_GT(Matrix::max_abs_diff(d1, d2), 0.1);
 }
 
 TEST(Mahalanobis, HandlesConstantColumn) {
   // Constant features make the covariance singular; the pseudo-inverse must
   // cope without NaNs.
   const Matrix x{{1.0, 7.0}, {2.0, 7.0}, {3.0, 7.0}, {4.0, 7.0}};
-  const Matrix d = mahalanobis_distances(x);
+  const Matrix d = feature_distances(x);
   for (std::size_t i = 0; i < d.rows(); ++i) {
     for (std::size_t j = 0; j < d.cols(); ++j) {
       EXPECT_FALSE(std::isnan(d(i, j)));
@@ -60,13 +100,29 @@ TEST(Mahalanobis, HandlesConstantColumn) {
 }
 
 TEST(Euclidean, MatchesHandComputed) {
-  const Matrix x{{0.0, 0.0}, {3.0, 4.0}};
-  const Matrix d = euclidean_distances(x);
-  EXPECT_DOUBLE_EQ(d(0, 1), 5.0);
+  // Collinear points 5 apart: raw distances 5, 10, 5 normalize by 10.
+  const Matrix x{{0.0, 0.0}, {3.0, 4.0}, {6.0, 8.0}};
+  const Matrix d = feature_distances(x, FeatureMetric::kEuclidean);
+  EXPECT_DOUBLE_EQ(d(1, 0), 0.5);
+  EXPECT_DOUBLE_EQ(d(2, 0), 1.0);
+  EXPECT_DOUBLE_EQ(d(2, 1), 0.5);
+}
+
+// alpha = 0 leaves the pure spacing penalty 1 - exp(-lambda |i - j|).
+Matrix spacing_only(std::size_t n, double lambda) {
+  Matrix x(n, 2);
+  for (std::size_t r = 0; r < n; ++r) {
+    x(r, 0) = static_cast<double>(r);
+    x(r, 1) = static_cast<double>(r * r);
+  }
+  DistanceParams p;
+  p.alpha = 0.0;
+  p.lambda = lambda;
+  return power_distances(x, p);
 }
 
 TEST(SpacingPenalty, ZeroOnDiagonalGrowsWithSeparation) {
-  const Matrix r = spacing_penalty(5, 0.3);
+  const Matrix r = spacing_only(5, 0.3);
   for (std::size_t i = 0; i < 5; ++i) EXPECT_DOUBLE_EQ(r(i, i), 0.0);
   EXPECT_LT(r(0, 1), r(0, 2));
   EXPECT_LT(r(0, 2), r(0, 4));
@@ -74,14 +130,22 @@ TEST(SpacingPenalty, ZeroOnDiagonalGrowsWithSeparation) {
 }
 
 TEST(SpacingPenalty, LambdaControlsDecay) {
-  const Matrix slow = spacing_penalty(4, 0.05);
-  const Matrix fast = spacing_penalty(4, 1.0);
+  const Matrix slow = spacing_only(4, 0.05);
+  const Matrix fast = spacing_only(4, 1.0);
   EXPECT_LT(slow(0, 3), fast(0, 3));
 }
 
 TEST(SpacingPenalty, BadArgsThrow) {
-  EXPECT_THROW(spacing_penalty(0, 0.1), std::invalid_argument);
-  EXPECT_THROW(spacing_penalty(4, -0.1), std::invalid_argument);
+  linalg::Workspace ws;
+  Matrix out;
+  EpsAdjacency adj;
+  DistanceParams p;
+  EXPECT_THROW(power_distance_matrix_adj_into(Matrix(), p, 0.5, ws, out, adj),
+               std::invalid_argument);
+  p.lambda = -0.1;
+  EXPECT_THROW(power_distance_matrix_adj_into(Matrix{{1.0}, {2.0}}, p, 0.5,
+                                              ws, out, adj),
+               std::invalid_argument);
 }
 
 TEST(PowerDistance, AlphaBlendsTerms) {
@@ -90,13 +154,13 @@ TEST(PowerDistance, AlphaBlendsTerms) {
   p.lambda = 0.5;
 
   p.alpha = 1.0;  // pure feature distance (normalized)
-  const Matrix d_feat = power_distance_matrix(x, p);
+  const Matrix d_feat = power_distances(x, p);
   p.alpha = 0.0;  // pure spacing penalty
-  const Matrix d_space = power_distance_matrix(x, p);
-  EXPECT_LT(Matrix::max_abs_diff(d_space, spacing_penalty(3, 0.5)), 1e-12);
+  const Matrix d_space = power_distances(x, p);
+  EXPECT_LT(Matrix::max_abs_diff(d_space, spacing_only(3, 0.5)), 1e-12);
 
   p.alpha = 0.5;
-  const Matrix d_mix = power_distance_matrix(x, p);
+  const Matrix d_mix = power_distances(x, p);
   for (std::size_t i = 0; i < 3; ++i) {
     for (std::size_t j = 0; j < 3; ++j) {
       EXPECT_NEAR(d_mix(i, j), 0.5 * d_feat(i, j) + 0.5 * d_space(i, j),
@@ -107,9 +171,7 @@ TEST(PowerDistance, AlphaBlendsTerms) {
 
 TEST(PowerDistance, FeatureTermNormalizedToUnitMax) {
   const Matrix x{{0.0, 0.0}, {100.0, 0.0}, {0.0, 100.0}};
-  DistanceParams p;
-  p.alpha = 1.0;
-  const Matrix d = power_distance_matrix(x, p);
+  const Matrix d = feature_distances(x);
   double mx = 0.0;
   for (std::size_t i = 0; i < 3; ++i) {
     for (std::size_t j = 0; j < 3; ++j) mx = std::max(mx, d(i, j));
@@ -121,20 +183,22 @@ TEST(PowerDistance, AlphaOutOfRangeThrows) {
   const Matrix x{{1.0}, {2.0}};
   DistanceParams p;
   p.alpha = 1.5;
-  EXPECT_THROW(power_distance_matrix(x, p), std::invalid_argument);
+  EXPECT_THROW(power_distances(x, p), std::invalid_argument);
 }
 
 TEST(PowerDistance, EuclideanMetricOption) {
   const Matrix x{{1.0, 2.0}, {3.0, 1.0}, {0.0, 5.0}};
   DistanceParams p;
   p.metric = FeatureMetric::kEuclidean;
-  EXPECT_NO_THROW(power_distance_matrix(x, p));
+  EXPECT_NO_THROW(power_distances(x, p));
 }
 
 TEST(Mahalanobis, EmptyThrows) {
-  EXPECT_THROW(mahalanobis_distances(Matrix()), std::invalid_argument);
-  EXPECT_THROW(euclidean_distances(Matrix()), std::invalid_argument);
-  EXPECT_THROW(mahalanobis_distances_naive(Matrix()), std::invalid_argument);
+  EXPECT_THROW(feature_distances(Matrix()), std::invalid_argument);
+  EXPECT_THROW(feature_distances(Matrix(), FeatureMetric::kEuclidean),
+               std::invalid_argument);
+  EXPECT_THROW(testing::mahalanobis_distances_naive(Matrix()),
+               std::invalid_argument);
 }
 
 Matrix random_table(std::size_t n, std::size_t d, std::uint64_t seed) {
@@ -151,8 +215,8 @@ TEST(MahalanobisWhitened, MatchesNaiveQuadraticFormOracle) {
   // factorizations; they must agree to factorization rounding.
   for (const std::size_t n : {5ul, 17ul, 40ul}) {
     const Matrix x = random_table(n, 9, 1000 + n);
-    const Matrix fast = mahalanobis_distances(x);
-    const Matrix naive = mahalanobis_distances_naive(x);
+    const Matrix fast = feature_distances(x);
+    const Matrix naive = normalized(testing::mahalanobis_distances_naive(x));
     EXPECT_LT(Matrix::max_abs_diff(fast, naive), 1e-8) << "n=" << n;
   }
 }
@@ -170,58 +234,74 @@ TEST(MahalanobisWhitened, MatchesNaiveOnRankDeficientTable) {
     deficient(r, 4) = 7.0;            // constant
     deficient(r, 5) = x(r, 1) * 2.0;  // linear combination
   }
-  const Matrix fast = mahalanobis_distances(deficient);
-  const Matrix naive = mahalanobis_distances_naive(deficient);
+  const Matrix fast = feature_distances(deficient);
+  const Matrix naive =
+      normalized(testing::mahalanobis_distances_naive(deficient));
   EXPECT_LT(Matrix::max_abs_diff(fast, naive), 1e-8);
 }
 
 TEST(MahalanobisWhitened, ExactSymmetryAndZeroDiagonal) {
-  // Each pair is computed once and mirrored: symmetry is bitwise, not just
-  // within tolerance, and the diagonal is exactly zero.
+  // The diagonal is exactly zero, the lower triangle is bitwise the
+  // full-matrix oracle's, and the emitted adjacency is exactly symmetric.
   const Matrix x = random_table(31, 7, 9);
-  const Matrix d = mahalanobis_distances(x);
-  for (std::size_t i = 0; i < d.rows(); ++i) {
-    EXPECT_EQ(d(i, i), 0.0);
-    for (std::size_t j = 0; j < d.cols(); ++j) {
-      EXPECT_EQ(d(i, j), d(j, i));
+  const DistanceParams p;
+  linalg::Workspace ws;
+  Matrix out;
+  EpsAdjacency adj;
+  power_distance_matrix_adj_into(x, p, 0.4, ws, out, adj);
+  const Matrix want = testing::power_distance_oracle(x, p);
+  for (std::size_t i = 0; i < out.rows(); ++i) EXPECT_EQ(out(i, i), 0.0);
+  expect_lower_bitwise(out, want);
+  std::vector<std::vector<bool>> linked(31, std::vector<bool>(31, false));
+  for (std::size_t i = 0; i < adj.n; ++i) {
+    for (std::size_t p2 = 0; p2 < adj.degree(i); ++p2) {
+      linked[i][adj.row(i)[p2]] = true;
     }
+  }
+  for (std::size_t i = 0; i < 31; ++i) {
+    EXPECT_TRUE(linked[i][i]);
+    for (std::size_t j = 0; j < 31; ++j) EXPECT_EQ(linked[i][j], linked[j][i]);
   }
 }
 
 TEST(MahalanobisWhitened, AllConstantTableGivesZeroDistances) {
-  // Zero covariance keeps no whitened directions; the old pinv(0) = 0 path
-  // also produced all-zero distances.
+  // Zero covariance keeps no whitened directions (rank 0): the Gram kernels
+  // run on an all-zero Gram and every feature distance is 0.
   Matrix x(6, 4);
   for (double& v : x.data()) v = 3.5;
-  const Matrix d = mahalanobis_distances(x);
+  const Matrix d = feature_distances(x);
   for (const double v : d.data()) EXPECT_EQ(v, 0.0);
 }
 
 TEST(MahalanobisWhitened, WorkspaceVariantIsBitwiseIdentical) {
   const Matrix x = random_table(23, 8, 77);
-  const Matrix plain = mahalanobis_distances(x);
+  const Matrix plain = feature_distances(x);
+  DistanceParams p;
+  p.alpha = 1.0;
   linalg::Workspace ws;
   Matrix pooled;
-  mahalanobis_distances_into(x, ws, pooled);
-  EXPECT_EQ(Matrix::max_abs_diff(plain, pooled), 0.0);
+  EpsAdjacency adj;
+  power_distance_matrix_adj_into(x, p, 1.0, ws, pooled, adj);
+  expect_lower_bitwise(pooled, plain);
   // Second pass reuses the warmed pool and must reproduce the result.
   const std::size_t created = ws.created();
-  mahalanobis_distances_into(x, ws, pooled);
-  EXPECT_EQ(Matrix::max_abs_diff(plain, pooled), 0.0);
+  power_distance_matrix_adj_into(x, p, 1.0, ws, pooled, adj);
+  expect_lower_bitwise(pooled, plain);
   EXPECT_EQ(ws.created(), created);
 }
 
 TEST(PowerDistance, WorkspaceVariantIsBitwiseIdentical) {
   const Matrix x = random_table(19, 6, 5);
-  DistanceParams p;
-  const Matrix plain = power_distance_matrix(x, p);
+  const DistanceParams p;
+  const Matrix want = testing::power_distance_oracle(x, p);
   linalg::Workspace ws;
   Matrix pooled;
-  power_distance_matrix_into(x, p, ws, pooled);
-  EXPECT_EQ(Matrix::max_abs_diff(plain, pooled), 0.0);
+  EpsAdjacency adj;
+  power_distance_matrix_adj_into(x, p, 0.3, ws, pooled, adj);
+  expect_lower_bitwise(pooled, want);
   const std::size_t created = ws.created();
-  power_distance_matrix_into(x, p, ws, pooled);
-  EXPECT_EQ(Matrix::max_abs_diff(plain, pooled), 0.0);
+  power_distance_matrix_adj_into(x, p, 0.3, ws, pooled, adj);
+  expect_lower_bitwise(pooled, want);
   EXPECT_EQ(ws.created(), created);
 }
 
@@ -238,6 +318,7 @@ TEST(PowerDistance, BatchVariantIsBitwiseIdenticalPerTable) {
     constant_col(r, 2) = 4.25;  // rank-deficient covariance member
   }
   tables.push_back(constant_col);
+  const std::vector<double> eps = {0.2, 0.3, 0.4, 0.5};
 
   for (const FeatureMetric metric :
        {FeatureMetric::kMahalanobis, FeatureMetric::kEuclidean}) {
@@ -245,17 +326,27 @@ TEST(PowerDistance, BatchVariantIsBitwiseIdenticalPerTable) {
     p.metric = metric;
     linalg::Workspace ws;
     std::vector<Matrix> dists(tables.size());
+    std::vector<EpsAdjacency> adjs(tables.size());
     std::vector<const Matrix*> table_ptrs;
     std::vector<Matrix*> dist_ptrs;
+    std::vector<EpsAdjacency*> adj_ptrs;
     for (std::size_t i = 0; i < tables.size(); ++i) {
       table_ptrs.push_back(&tables[i]);
       dist_ptrs.push_back(&dists[i]);
+      adj_ptrs.push_back(&adjs[i]);
     }
-    power_distance_matrix_batch_into(table_ptrs, p, ws, dist_ptrs);
+    power_distances_adj_batch_into(table_ptrs, p, eps, ws, dist_ptrs,
+                                   adj_ptrs);
     for (std::size_t i = 0; i < tables.size(); ++i) {
-      const Matrix solo = power_distance_matrix(tables[i], p);
-      EXPECT_EQ(Matrix::max_abs_diff(dists[i], solo), 0.0)
-          << "table " << i << " metric " << static_cast<int>(metric);
+      linalg::Workspace solo_ws;
+      Matrix solo;
+      EpsAdjacency solo_adj;
+      power_distances_adj_into(tables[i], p, eps[i], solo_ws, solo, solo_adj);
+      SCOPED_TRACE(::testing::Message() << "table " << i << " metric "
+                                        << static_cast<int>(metric));
+      expect_lower_bitwise(dists[i], solo);
+      EXPECT_EQ(adjs[i].offsets, solo_adj.offsets);
+      EXPECT_EQ(adjs[i].neighbors, solo_adj.neighbors);
     }
   }
 }
@@ -263,12 +354,15 @@ TEST(PowerDistance, BatchVariantIsBitwiseIdenticalPerTable) {
 TEST(PowerDistance, BatchSizeMismatchThrows) {
   const Matrix x = random_table(5, 3, 1);
   Matrix out;
+  EpsAdjacency adj;
   linalg::Workspace ws;
   const std::vector<const Matrix*> tables = {&x};
+  const std::vector<double> eps = {0.5};
   const std::vector<Matrix*> dists = {&out, &out};
-  EXPECT_THROW(
-      power_distance_matrix_batch_into(tables, DistanceParams{}, ws, dists),
-      std::invalid_argument);
+  const std::vector<EpsAdjacency*> adjs = {&adj};
+  EXPECT_THROW(power_distances_adj_batch_into(tables, DistanceParams{}, eps,
+                                              ws, dists, adjs),
+               std::invalid_argument);
 }
 
 }  // namespace

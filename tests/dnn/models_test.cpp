@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <string>
 
 namespace powerlens::dnn {
@@ -18,6 +19,13 @@ struct ZooExpectation {
   double gflops;     // per-image FLOPs (2 * GMACs)
   double tolerance;  // relative
 };
+
+// gtest appends the printed parameter to every ctest name, so print the
+// stable fields only — its default raw-byte dump includes the `name`
+// pointer, which changes from build to build.
+void PrintTo(const ZooExpectation& e, std::ostream* os) {
+  *os << e.name << " params=" << e.params_m << "M gflops=" << e.gflops;
+}
 
 class ModelZooTest : public ::testing::TestWithParam<ZooExpectation> {};
 

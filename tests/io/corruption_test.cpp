@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace powerlens::io {
@@ -65,6 +66,35 @@ TEST(CorruptionGauntletTest, GraphRecordSurvivesEverySingleByteFlip) {
   run_gauntlet(
       encode_graph(g),
       [](const std::vector<std::byte>& b) { return decode_graph(b); }, g);
+}
+
+// A well-formed, checksum-valid record whose layer costs sum past int64:
+// decode must reject it as malformed instead of handing out a graph whose
+// total_flops() overflows (it printed a negative GFLOP count on import).
+TEST(CorruptionGauntletTest, GraphWithOverflowingCostsIsMalformed) {
+  const dnn::Graph g = testing::golden_graph();
+  const auto with_flops = [&](std::int64_t a, std::int64_t b) {
+    std::vector<dnn::Layer> layers(g.layers().begin(), g.layers().end());
+    std::vector<std::vector<dnn::NodeId>> producers;
+    for (dnn::NodeId id = 0; id < g.size(); ++id) {
+      producers.emplace_back(g.producers(id).begin(), g.producers(id).end());
+    }
+    layers[1].flops = a;
+    layers[2].flops = b;
+    return dnn::Graph(g.name(), std::move(layers), std::move(producers));
+  };
+  constexpr std::int64_t k62 = std::int64_t{1} << 62;
+  EXPECT_THROW(decode_graph(encode_graph(with_flops(k62, k62))),
+               MalformedError);
+  // Above the 2^53 per-layer cap on its own.
+  EXPECT_THROW(decode_graph(encode_graph(with_flops(k62, 0))),
+               MalformedError);
+  // Exactly at the cap still decodes, and the totals stay exact.
+  const std::int64_t cap = dnn::Graph::kMaxLayerCost;
+  const dnn::Graph at_cap = with_flops(cap, cap);
+  const dnn::Graph back = decode_graph(encode_graph(at_cap));
+  EXPECT_EQ(back, at_cap);
+  EXPECT_GT(back.total_flops(), 2 * (cap - 1));
 }
 
 TEST(CorruptionGauntletTest, PlanRecordSurvivesEverySingleByteFlip) {

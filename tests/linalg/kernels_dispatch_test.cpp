@@ -110,8 +110,8 @@ std::vector<double> run_all_kernels(std::size_t m, std::size_t n,
   out.insert(out.end(), sums.begin(), sums.end());
 
   // Distance-path kernels chained the way the Mahalanobis pipeline runs
-  // them: lower-triangle Gram of the A rows, sqrt epilogue, blend. The
-  // sentinel fill of the Gram upper triangle is appended too, so a path
+  // them: lower-triangle Gram of the A rows, then the fused distance tail.
+  // The sentinel fill of the Gram upper triangle is appended too, so a path
   // that wrote outside the lower triangle would also fail bitwise.
   {
     Matrix gram(m, m);
@@ -119,17 +119,10 @@ std::vector<double> run_all_kernels(std::size_t m, std::size_t n,
     std::vector<double> at(k * m);
     syrk_nt(m, k, a.data().data(), k, at.data(), gram.data().data(), m);
     append(gram);
-    Matrix dist(m, m);
-    std::vector<double> scratch(m);
-    gram_to_dist(m, gram.data().data(), m, dist.data().data(), m,
-                 scratch.data());
-    append(dist);
     std::vector<double> penalty(m);
     for (std::size_t t = 0; t < m; ++t) {
       penalty[t] = static_cast<double>(t) / (static_cast<double>(m) + 1.0);
     }
-    dist_blend(m, 0.75, 0.5, 0.25, penalty.data(), dist.data().data(), m);
-    append(dist);
 
     // The triangular fused pipeline over the same Gram: max prepass, then
     // one blended-lower + ε-bitmap sweep. Sentinel fill again pins the

@@ -362,39 +362,91 @@ TEST(SyrkNt, MatchesFmaChainLowerTriangleAndLeavesUpperUntouched) {
   }
 }
 
-TEST(GramToDist, MatchesScalarMirrorReferenceBitwise) {
-  // Reference is the classic epilogue the kernel replaced:
-  // sqrt(max(n_i + n_j - 2 g(i,j), 0)) mirrored, zero diagonal. Equality
-  // must be exact: (-2)*g is bitwise -(2*g), a + (-b) is a - b, and sqrt
-  // is correctly rounded everywhere.
-  for (const std::size_t n : {1UL, 2UL, 5UL, 8UL, 17UL, 64UL, 71UL}) {
-    const std::size_t k = 11;
-    const Matrix y = random_matrix(n, k, 1700 + n);
-    Matrix gram(n, n);
-    std::vector<double> at(k * n);
-    syrk_nt(n, k, y.data().data(), k, at.data(), gram.data().data(), n);
-    Matrix want(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < i; ++j) {
-        const double dd = std::sqrt(
-            std::max(gram(i, i) + gram(j, j) - 2.0 * gram(i, j), 0.0));
-        want(i, j) = dd;
-        want(j, i) = dd;
-      }
-      want(i, i) = 0.0;
+// The lower-triangle Gram of a random n x k table, as syrk_nt leaves it.
+Matrix lower_gram(std::size_t n, std::size_t k, std::uint64_t seed) {
+  const Matrix y = random_matrix(n, k, seed);
+  Matrix gram(n, n);
+  std::vector<double> at(k * n);
+  syrk_nt(n, k, y.data().data(), k, at.data(), gram.data().data(), n);
+  return gram;
+}
+
+// Scalar reference for the distance epilogue: the FULL symmetric matrix
+// sqrt(max(n_i + n_j - 2 g(i,j), 0)), zero diagonal. Equality with the
+// kernels must be exact: (-2)*g is bitwise -(2*g), a + (-b) is a - b, and
+// sqrt is correctly rounded everywhere.
+Matrix reference_distances(const Matrix& gram) {
+  const std::size_t n = gram.rows();
+  Matrix want(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      const double dd = std::sqrt(
+          std::max(gram(i, i) + gram(j, j) - 2.0 * gram(i, j), 0.0));
+      want(i, j) = dd;
+      want(j, i) = dd;
     }
-    Matrix got(n, n);
-    std::vector<double> scratch(n);
-    gram_to_dist(n, gram.data().data(), n, got.data().data(), n,
-                 scratch.data());
-    expect_bitwise_equal(got, want, "gram_to_dist");
+    want(i, i) = 0.0;
+  }
+  return want;
+}
+
+// Scalar reference for the blend over a full matrix:
+//   alpha · (d(i, j) · inv_max) + beta · penalty[|i - j|].
+Matrix reference_blend(const Matrix& d, double alpha, double inv_max,
+                       double beta, const std::vector<double>& penalty) {
+  Matrix want = d;
+  for (std::size_t i = 0; i < d.rows(); ++i) {
+    for (std::size_t j = 0; j < d.cols(); ++j) {
+      const std::size_t off = i < j ? j - i : i - j;
+      want(i, j) = alpha * (want(i, j) * inv_max) + beta * penalty[off];
+    }
+  }
+  return want;
+}
+
+// gram_blend_adj's lower triangle + diagonal (the diagonal prepass fills
+// `diag` first, as the distance pipeline does).
+Matrix blend_lower(const Matrix& gram, double alpha, double inv_max,
+                   double beta, const std::vector<double>& penalty,
+                   double eps) {
+  const std::size_t n = gram.rows();
+  std::vector<double> diag(n);
+  double max_d = 0.0;
+  gram_dist_max(n, gram.data().data(), n, diag.data(), &max_d);
+  const std::size_t words = (n + 63) / 64;
+  std::vector<std::uint64_t> bits(n * words);
+  std::vector<std::size_t> degree(n);
+  Matrix out(n, n);
+  gram_blend_adj(n, gram.data().data(), n, diag.data(), alpha, inv_max, beta,
+                 penalty.data(), out.data().data(), n, eps, bits.data(),
+                 words, degree.data());
+  return out;
+}
+
+void expect_lower_bitwise(const Matrix& got, const Matrix& want,
+                          const char* what) {
+  for (std::size_t i = 0; i < got.rows(); ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      ASSERT_EQ(got(i, j), want(i, j))
+          << what << " n=" << got.rows() << " (" << i << ", " << j << ")";
+    }
+  }
+}
+
+TEST(GramToDist, MatchesScalarMirrorReferenceBitwise) {
+  // The distance epilogue inside gram_blend_adj, isolated with the identity
+  // blend (alpha = 1, inv_max = 1, beta = 0): 1 · (v · 1) + 0 · p is v.
+  for (const std::size_t n : {1UL, 2UL, 5UL, 8UL, 17UL, 64UL, 71UL}) {
+    const Matrix gram = lower_gram(n, 11, 1700 + n);
+    const std::vector<double> zero_penalty(n, 0.0);
+    expect_lower_bitwise(blend_lower(gram, 1.0, 1.0, 0.0, zero_penalty, 1e300),
+                         reference_distances(gram), "distance epilogue");
   }
 }
 
 TEST(DistBlend, MatchesScalarReferenceBitwise) {
   for (const std::size_t n : {1UL, 3UL, 4UL, 9UL, 33UL, 66UL}) {
-    // Deliberately NOT symmetric: the kernel computes every element.
-    Matrix d = random_matrix(n, n, 2600 + n);
+    const Matrix gram = lower_gram(n, 7, 2600 + n);
     std::vector<double> penalty(n);
     for (std::size_t t = 0; t < n; ++t) {
       penalty[t] = 1.0 - std::exp(-0.05 * static_cast<double>(t));
@@ -402,36 +454,23 @@ TEST(DistBlend, MatchesScalarReferenceBitwise) {
     const double alpha = 0.65;
     const double inv_max = 0.8125;
     const double beta = 1.0 - alpha;
-    Matrix want = d;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        const std::size_t off = i < j ? j - i : i - j;
-        want(i, j) = alpha * (want(i, j) * inv_max) + beta * penalty[off];
-      }
-    }
-    Matrix got = d;
-    dist_blend(n, alpha, inv_max, beta, penalty.data(), got.data().data(), n);
-    expect_bitwise_equal(got, want, "dist_blend");
+    const Matrix want = reference_blend(reference_distances(gram), alpha,
+                                        inv_max, beta, penalty);
+    expect_lower_bitwise(blend_lower(gram, alpha, inv_max, beta, penalty, 0.5),
+                         want, "blend");
   }
 }
 
 TEST(GramDistMax, MatchesFullMatrixMaxBitwise) {
   // The prepass must agree bitwise with materializing the whole distance
-  // matrix and taking its max (gram_to_dist_max): sqrt and max0 are
-  // monotone, so folding the max over RAW squared distances before the
-  // sqrt(max0(·)) epilogue lands on the identical double.
+  // matrix and taking its max: sqrt and max0 are monotone, so folding the
+  // max over RAW squared distances before the sqrt(max0(·)) epilogue lands
+  // on the identical double.
   for (const std::size_t n : {1UL, 2UL, 4UL, 7UL, 16UL, 33UL, 70UL}) {
-    const std::size_t k = 9;
-    const Matrix y = random_matrix(n, k, 3100 + n);
-    Matrix gram(n, n);
-    std::vector<double> at(k * n);
-    syrk_nt(n, k, y.data().data(), k, at.data(), gram.data().data(), n);
-
-    Matrix dist(n, n);
-    std::vector<double> want_diag(n);
+    const Matrix gram = lower_gram(n, 9, 3100 + n);
+    const Matrix dist = reference_distances(gram);
     double want_max = 0.0;
-    gram_to_dist_max(n, gram.data().data(), n, dist.data().data(), n,
-                     want_diag.data(), &want_max);
+    for (const double v : dist.data()) want_max = std::max(want_max, v);
 
     std::vector<double> diag(n, -1.0);
     double got_max = -1.0;
@@ -444,16 +483,12 @@ TEST(GramDistMax, MatchesFullMatrixMaxBitwise) {
 }
 
 TEST(GramBlendAdj, MatchesTwoKernelPipelineOnLowerTriangle) {
-  // One fused sweep vs the full-matrix pipeline it replaced
-  // (gram_to_dist_max then dist_blend_adj): lower triangle + diagonal
-  // bitwise equal, upper triangle untouched, and the symmetric ε-bitmap +
-  // degrees identical.
+  // One fused sweep vs the scalar full-matrix pipeline (distances, max
+  // scan, blend, ε-scan of every row): lower triangle + diagonal bitwise
+  // equal, upper triangle untouched, and the symmetric ε-bitmap + degrees
+  // identical.
   for (const std::size_t n : {1UL, 3UL, 4UL, 8UL, 17UL, 63UL, 64UL, 65UL}) {
-    const std::size_t k = 6;
-    const Matrix y = random_matrix(n, k, 4400 + n);
-    Matrix gram(n, n);
-    std::vector<double> at(k * n);
-    syrk_nt(n, k, y.data().data(), k, at.data(), gram.data().data(), n);
+    const Matrix gram = lower_gram(n, 6, 4400 + n);
     std::vector<double> penalty(n);
     for (std::size_t t = 0; t < n; ++t) {
       penalty[t] = 1.0 - std::exp(-0.15 * static_cast<double>(t));
@@ -462,18 +497,22 @@ TEST(GramBlendAdj, MatchesTwoKernelPipelineOnLowerTriangle) {
     const double beta = 1.0 - alpha;
     const std::size_t words = (n + 63) / 64;
 
-    Matrix want(n, n);
-    std::vector<double> scratch(n);
+    const Matrix dist = reference_distances(gram);
     double max_d = 0.0;
-    gram_to_dist_max(n, gram.data().data(), n, want.data().data(), n,
-                     scratch.data(), &max_d);
+    for (const double v : dist.data()) max_d = std::max(max_d, v);
     const double inv_max = max_d > 0.0 ? 1.0 / max_d : 1.0;
     const double eps = 0.6 * max_d > 0.0 ? 0.6 * max_d : 0.5;
-    std::vector<std::uint64_t> want_bits(n * words);
-    std::vector<std::size_t> want_deg(n);
-    dist_blend_adj(n, alpha, inv_max, beta, penalty.data(),
-                   want.data().data(), n, eps, want_bits.data(), words,
-                   want_deg.data());
+    const Matrix want = reference_blend(dist, alpha, inv_max, beta, penalty);
+    std::vector<std::uint64_t> want_bits(n * words, 0);
+    std::vector<std::size_t> want_deg(n, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        if (want(i, j) <= eps) {
+          want_bits[i * words + j / 64] |= std::uint64_t{1} << (j % 64);
+          ++want_deg[i];
+        }
+      }
+    }
 
     std::vector<double> diag(n);
     double prepass_max = 0.0;

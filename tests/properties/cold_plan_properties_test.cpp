@@ -4,10 +4,11 @@
 //    (dbscan_reference) across eps/minPts sweeps, including all-noise,
 //    single-cluster, and duplicate-point datasets.
 //  - The fused triangular distance + ε-adjacency pipeline emits a lower
-//    triangle + diagonal bitwise identical to the non-adjacency pipeline's
+//    triangle + diagonal bitwise identical to the scalar full-matrix oracle
 //    (the upper half is unspecified by contract), an adjacency equal to an
-//    explicit ε-scan of the dense matrix, and a PowerView equal to the
-//    dense-path build — serially and batched, on every dispatch path.
+//    explicit ε-scan of the oracle matrix, and a PowerView equal to dense
+//    DBSCAN + post-processing on it — serially and batched, on every
+//    dispatch path.
 //  - The layer-major cost-table fill reproduces the direct per-cell
 //    analytic model bit for bit on the full 12-model zoo, on every
 //    available kernel dispatch path, from both the layer-span and the
@@ -16,6 +17,7 @@
 #include "dnn/models.hpp"
 #include "hw/cost_table.hpp"
 #include "linalg/kernels.hpp"
+#include "support/distance_oracles.hpp"
 
 #include <gtest/gtest.h>
 
@@ -105,7 +107,7 @@ TEST(ColdPlanProperties, CsrDbscanMatchesDenseOracleSweep) {
       for (const std::size_t min_pts :
            {std::size_t{1}, std::size_t{3}, std::size_t{6}}) {
         const DbscanParams p{eps, min_pts};
-        EXPECT_EQ(clustering::dbscan(d, p), clustering::dbscan_reference(d, p))
+        EXPECT_EQ(testing::dbscan_dense(d, p), testing::dbscan_reference(d, p))
             << "seed=" << seed << " n=" << n << " eps=" << eps
             << " min_pts=" << min_pts;
       }
@@ -123,8 +125,8 @@ TEST(ColdPlanProperties, CsrDbscanOracleDegenerateDatasets) {
   }
   for (const std::size_t min_pts : {std::size_t{2}, std::size_t{4}}) {
     const DbscanParams p{0.5, min_pts};
-    const std::vector<int> labels = clustering::dbscan(spread, p);
-    EXPECT_EQ(labels, clustering::dbscan_reference(spread, p));
+    const std::vector<int> labels = testing::dbscan_dense(spread, p);
+    EXPECT_EQ(labels, testing::dbscan_reference(spread, p));
     for (const int l : labels) EXPECT_EQ(l, kNoise);
   }
 
@@ -132,8 +134,8 @@ TEST(ColdPlanProperties, CsrDbscanOracleDegenerateDatasets) {
   std::mt19937_64 rng(9);
   linalg::Matrix tight = random_distance_matrix(rng, 12);
   const DbscanParams all{1.5, 4};
-  const std::vector<int> one = clustering::dbscan(tight, all);
-  EXPECT_EQ(one, clustering::dbscan_reference(tight, all));
+  const std::vector<int> one = testing::dbscan_dense(tight, all);
+  EXPECT_EQ(one, testing::dbscan_reference(tight, all));
   for (const int l : one) EXPECT_EQ(l, 0);
 
   // Duplicate points: zero-distance groups.
@@ -146,8 +148,8 @@ TEST(ColdPlanProperties, CsrDbscanOracleDegenerateDatasets) {
   for (const std::size_t min_pts :
        {std::size_t{2}, std::size_t{4}, std::size_t{5}}) {
     const DbscanParams p{0.1, min_pts};
-    EXPECT_EQ(clustering::dbscan(dup, p),
-              clustering::dbscan_reference(dup, p))
+    EXPECT_EQ(testing::dbscan_dense(dup, p),
+              testing::dbscan_reference(dup, p))
         << "min_pts=" << min_pts;
   }
 }
@@ -164,22 +166,25 @@ TEST(ColdPlanProperties, AdjacencyDistancePipelineBitwiseEqualsDensePath) {
       const clustering::ClusteringHyperparams hyper{eps, 1 + seed % 4};
       clustering::DistanceParams params;
 
-      linalg::Workspace ws;
-      linalg::Matrix dense;
-      clustering::power_distances_into(features, params, ws, dense);
+      const linalg::Matrix dense =
+          testing::power_distances_oracle(features, params);
 
+      linalg::Workspace ws;
       linalg::Matrix fused;
       EpsAdjacency adj;
       clustering::power_distances_adj_into(features, params, eps, ws, fused,
                                            adj);
 
       expect_lower_eq(fused, dense, "seed " + std::to_string(seed));
-      const EpsAdjacency rescan = EpsAdjacency::from_distances(dense, eps);
+      const EpsAdjacency rescan = testing::adjacency_oracle(dense, eps);
       EXPECT_EQ(adj.offsets, rescan.offsets) << "seed " << seed;
       EXPECT_EQ(adj.neighbors, rescan.neighbors) << "seed " << seed;
 
+      const clustering::PowerView dense_view = clustering::process_clusters(
+          testing::dbscan_reference(dense, {hyper.eps, hyper.min_pts}), dense,
+          {.min_block_layers = hyper.min_pts});
       EXPECT_EQ(clustering::build_power_view_from_adjacency(fused, adj, hyper),
-                clustering::build_power_view_from_distances(dense, hyper))
+                dense_view)
           << "seed " << seed;
     }
   }
