@@ -171,17 +171,10 @@ void run() {
       cfg.distance.alpha = alpha;
       cfg.distance.lambda = lambda;
       cfg.cpu_level_for_labels = platform.max_cpu_level();
-      const std::size_t cls = core::best_hyperparam_class(g, platform, cfg);
-      clustering::ClusteringConfig cc;
-      cc.hyper = cfg.grid.at(cls);
-      cc.distance = cfg.distance;
-      const clustering::PowerView view = core::enforce_min_block_duration(
-          g, clustering::build_power_view(g, cc), platform,
-          core::feasible_block_duration(g, platform));
+      const std::size_t cpu_levels[] = {platform.max_cpu_level()};
+      const hw::CostTable costs(platform, g.layers(), cpu_levels);
       const double energy =
-          core::evaluate_view_oracle(g, view, platform,
-                                     cfg.cpu_level_for_labels)
-              .energy_j;
+          core::sweep_hyperparam_grid(g, costs, platform, cfg).eval.energy_j;
       std::printf(" %9.2f", energy);
     }
     std::printf("\n");

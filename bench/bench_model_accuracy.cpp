@@ -50,11 +50,14 @@ void run_platform(const hw::Platform& platform, std::size_t networks) {
     const dnn::Graph g = holdout.generate();
     const core::OptimizationPlan predicted = framework.optimize(g);
     const core::OptimizationPlan oracle = framework.optimize_oracle(g);
-    const std::size_t cpu = platform.max_cpu_level();
-    const double e_pred =
-        core::evaluate_view_oracle(g, predicted.view, platform, cpu).energy_j;
-    const double e_oracle =
-        core::evaluate_view_oracle(g, oracle.view, platform, cpu).energy_j;
+    const std::size_t cpu_levels[] = {platform.max_cpu_level()};
+    const hw::CostTable costs(platform, g.layers(), cpu_levels);
+    const double e_pred = core::evaluate_view_oracle(costs, predicted.view,
+                                                     platform, cpu_levels[0])
+                              .energy_j;
+    const double e_oracle = core::evaluate_view_oracle(costs, oracle.view,
+                                                       platform, cpu_levels[0])
+                                .energy_j;
     const double regret = e_pred / e_oracle - 1.0;
     regret_sum += regret;
     if (regret < 0.01) ++within_1pct;

@@ -33,22 +33,6 @@ std::size_t HyperparamGrid::index_of(
   throw std::invalid_argument("HyperparamGrid::index_of: not a grid point");
 }
 
-namespace {
-
-// The CPU planes the labelling pipeline needs from a CostTable: block
-// feasibility is always evaluated at the platform maximum, labels at the
-// configured level (usually the same).
-std::vector<std::size_t> label_cpu_levels(const hw::Platform& platform,
-                                          std::size_t cpu_level_for_labels) {
-  std::vector<std::size_t> levels = {platform.max_cpu_level()};
-  if (cpu_level_for_labels != platform.max_cpu_level()) {
-    levels.push_back(cpu_level_for_labels);
-  }
-  return levels;
-}
-
-}  // namespace
-
 double feasible_block_duration(const hw::CostTable& costs,
                                const hw::Platform& platform) {
   const double switch_floor =
@@ -59,13 +43,6 @@ double feasible_block_duration(const hw::CostTable& costs,
                       platform.max_cpu_level())
           .time_s;
   return std::max(switch_floor, pass_time / 10.0);
-}
-
-double feasible_block_duration(const dnn::Graph& graph,
-                               const hw::Platform& platform) {
-  const std::size_t cpu_levels[] = {platform.max_cpu_level()};
-  return feasible_block_duration(
-      hw::CostTable(platform, graph.layers(), cpu_levels), platform);
 }
 
 clustering::PowerView enforce_min_block_duration(
@@ -96,15 +73,6 @@ clustering::PowerView enforce_min_block_duration(
     }
   }
   return clustering::PowerView(std::move(blocks), view.num_layers());
-}
-
-clustering::PowerView enforce_min_block_duration(
-    const dnn::Graph& graph, const clustering::PowerView& view,
-    const hw::Platform& platform, double min_duration_s) {
-  const std::size_t cpu_levels[] = {platform.max_cpu_level()};
-  return enforce_min_block_duration(
-      hw::CostTable(platform, graph.layers(), cpu_levels), view, platform,
-      min_duration_s);
 }
 
 ViewEvaluation evaluate_view_oracle(const hw::CostTable& costs,
@@ -159,32 +127,6 @@ ViewEvaluation evaluate_view_oracle(const hw::CostTable& costs,
   return ev;
 }
 
-ViewEvaluation evaluate_view_oracle(const dnn::Graph& graph,
-                                    const clustering::PowerView& view,
-                                    const hw::Platform& platform,
-                                    std::size_t cpu_level) {
-  if (view.num_layers() != graph.size()) {
-    throw std::invalid_argument(
-        "evaluate_view_oracle: view does not match graph");
-  }
-  const std::size_t cpu_levels[] = {cpu_level};
-  return evaluate_view_oracle(
-      hw::CostTable(platform, graph.layers(), cpu_levels), view, platform,
-      cpu_level);
-}
-
-namespace {
-
-// One full hyperparameter-grid sweep: every candidate view (feasibility-
-// enforced) plus its oracle evaluation, and the winning class. Shared by
-// best_hyperparam_class and generate_datasets so the generator can reuse the
-// winning view and block levels without recomputing them.
-struct GridSweep {
-  std::size_t best_class = 0;
-  std::vector<clustering::PowerView> views;  // one per grid point
-  std::vector<ViewEvaluation> evals;
-};
-
 GridSweep sweep_hyperparam_grid(const dnn::Graph& graph,
                                 const hw::CostTable& costs,
                                 const hw::Platform& platform,
@@ -202,32 +144,28 @@ GridSweep sweep_hyperparam_grid(const dnn::Graph& graph,
       features::DepthwiseFeatureExtractor::extract(graph), config.distance,
       *std::max_element(eps_values.begin(), eps_values.end()), ws, distances,
       widest);
-  std::vector<clustering::EpsAdjacency> per_eps;
-  per_eps.reserve(eps_values.size());
-  for (const double eps : eps_values) {
-    per_eps.push_back(widest.narrowed(distances, eps));
-  }
 
-  GridSweep sweep;
   const double min_duration = feasible_block_duration(costs, platform);
-  std::vector<double> energies(config.grid.size());
-  std::vector<std::size_t> block_counts(config.grid.size());
+  const std::size_t per_eps = config.grid.min_pts_values.size();
+  clustering::EpsAdjacency adj;  // at grid point k's eps (k is eps-major)
+  std::vector<clustering::PowerView> views;
+  std::vector<ViewEvaluation> evals;
   double best_energy = -1.0;
   for (std::size_t k = 0; k < config.grid.size(); ++k) {
-    const std::size_t eps_index = k / config.grid.min_pts_values.size();
-    sweep.views.push_back(enforce_min_block_duration(
+    if (k % per_eps == 0) {
+      adj = widest.narrowed(distances, eps_values[k / per_eps]);
+    }
+    views.push_back(enforce_min_block_duration(
         costs,
-        clustering::build_power_view_from_adjacency(
-            distances, per_eps[eps_index], config.grid.at(k)),
+        clustering::build_power_view_from_adjacency(distances, adj,
+                                                    config.grid.at(k)),
         platform, min_duration));
-    sweep.evals.push_back(evaluate_view_oracle(
-        costs, sweep.views.back(), platform, config.cpu_level_for_labels));
-    energies[k] = sweep.evals.back().energy_j;
-    block_counts[k] = sweep.views.back().block_count();
+    evals.push_back(evaluate_view_oracle(costs, views.back(), platform,
+                                         config.cpu_level_for_labels));
     // Strict < keeps the lowest grid index on exact float ties, so the
     // reference optimum is itself deterministic.
-    if (best_energy < 0.0 || energies[k] < best_energy) {
-      best_energy = energies[k];
+    if (best_energy < 0.0 || evals.back().energy_j < best_energy) {
+      best_energy = evals.back().energy_j;
     }
   }
   // Among hyperparameter classes within half a percent of the energy
@@ -239,31 +177,14 @@ GridSweep sweep_hyperparam_grid(const dnn::Graph& graph,
   std::size_t best_class = 0;
   std::size_t best_blocks = 0;
   for (std::size_t k = 0; k < config.grid.size(); ++k) {
-    if (energies[k] <= best_energy * 1.005 && block_counts[k] > best_blocks) {
-      best_blocks = block_counts[k];
+    if (evals[k].energy_j <= best_energy * 1.005 &&
+        views[k].block_count() > best_blocks) {
+      best_blocks = views[k].block_count();
       best_class = k;
     }
   }
-  sweep.best_class = best_class;
-  return sweep;
-}
-
-}  // namespace
-
-std::size_t best_hyperparam_class(const dnn::Graph& graph,
-                                  const hw::CostTable& costs,
-                                  const hw::Platform& platform,
-                                  const DatasetGenConfig& config) {
-  return sweep_hyperparam_grid(graph, costs, platform, config).best_class;
-}
-
-std::size_t best_hyperparam_class(const dnn::Graph& graph,
-                                  const hw::Platform& platform,
-                                  const DatasetGenConfig& config) {
-  const hw::CostTable costs(
-      platform, graph.layers(),
-      label_cpu_levels(platform, config.cpu_level_for_labels));
-  return best_hyperparam_class(graph, costs, platform, config);
+  return {best_class, std::move(views[best_class]),
+          std::move(evals[best_class])};
 }
 
 GeneratedDatasets generate_datasets(const hw::Platform& platform,
@@ -296,10 +217,10 @@ GeneratedDatasets generate_datasets(const hw::Platform& platform,
   // the merge below reads them in index order, so the result is independent
   // of how tasks were scheduled across threads.
   struct NetworkRows {
-    std::vector<double> a_struct, a_stats;
-    int a_label = 0;
-    std::vector<std::vector<double>> b_struct, b_stats;
-    std::vector<int> b_labels;
+    features::GlobalFeatures network;  // dataset A row
+    int network_label = 0;
+    std::vector<features::GlobalFeatures> blocks;  // dataset B rows
+    std::vector<int> block_labels;
   };
   std::vector<NetworkRows> rows(cfg.num_networks);
 
@@ -313,36 +234,25 @@ GeneratedDatasets generate_datasets(const hw::Platform& platform,
     generator.set_sequence_index(n);
     const dnn::Graph graph = generator.generate();
 
-    const hw::CostTable costs(
-        platform, graph.layers(),
-        label_cpu_levels(platform, cfg.cpu_level_for_labels));
+    const std::size_t cpu_levels[] = {platform.max_cpu_level(),
+                                      cfg.cpu_level_for_labels};
+    const hw::CostTable costs(platform, graph.layers(), cpu_levels);
     const GridSweep sweep = sweep_hyperparam_grid(graph, costs, platform, cfg);
 
-    NetworkRows& out = rows[n];
-
     // Dataset A row: whole-network features -> best hyperparameter class.
-    const features::GlobalFeatures net_features =
-        features::GlobalFeatureExtractor::extract(graph);
-    out.a_struct = net_features.structural;
-    out.a_stats = net_features.statistics;
-    out.a_label = static_cast<int>(sweep.best_class);
-
     // Dataset B rows: blocks of the best view -> optimal frequency level.
-    // The sweep already built and evaluated the winning view; reuse it.
-    const clustering::PowerView& view = sweep.views[sweep.best_class];
-    const ViewEvaluation& ev = sweep.evals[sweep.best_class];
-    for (std::size_t b = 0; b < view.block_count(); ++b) {
-      const clustering::PowerBlock& blk = view.blocks()[b];
-      const features::GlobalFeatures block_features =
-          features::GlobalFeatureExtractor::extract(graph, blk.begin,
-                                                    blk.end);
-      out.b_struct.push_back(block_features.structural);
-      out.b_stats.push_back(block_features.statistics);
-      out.b_labels.push_back(static_cast<int>(ev.block_levels[b]));
+    NetworkRows& out = rows[n];
+    out.network = features::GlobalFeatureExtractor::extract(graph);
+    out.network_label = static_cast<int>(sweep.best_class);
+    for (std::size_t b = 0; b < sweep.view.block_count(); ++b) {
+      const clustering::PowerBlock& blk = sweep.view.blocks()[b];
+      out.blocks.push_back(
+          features::GlobalFeatureExtractor::extract(graph, blk.begin, blk.end));
+      out.block_labels.push_back(static_cast<int>(sweep.eval.block_levels[b]));
     }
 
     networks_ctr.inc();
-    blocks_ctr.inc(static_cast<double>(out.b_labels.size()));
+    blocks_ctr.inc(static_cast<double>(out.block_labels.size()));
     network_hist.observe(
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       net_start)
@@ -350,37 +260,30 @@ GeneratedDatasets generate_datasets(const hw::Platform& platform,
   });
 
   GeneratedDatasets out;
-  std::vector<std::vector<double>> a_struct, a_stats, b_struct, b_stats;
-  std::vector<int> a_labels, b_labels;
-  for (NetworkRows& r : rows) {
-    ++out.networks_generated;
-    a_struct.push_back(std::move(r.a_struct));
-    a_stats.push_back(std::move(r.a_stats));
-    a_labels.push_back(r.a_label);
-    out.blocks_generated += r.b_labels.size();
-    std::move(r.b_struct.begin(), r.b_struct.end(),
-              std::back_inserter(b_struct));
-    std::move(r.b_stats.begin(), r.b_stats.end(),
-              std::back_inserter(b_stats));
-    b_labels.insert(b_labels.end(), r.b_labels.begin(), r.b_labels.end());
+  std::vector<const features::GlobalFeatures*> a_rows, b_rows;
+  for (const NetworkRows& r : rows) {
+    a_rows.push_back(&r.network);
+    out.dataset_a.labels.push_back(r.network_label);
+    for (const features::GlobalFeatures& f : r.blocks) b_rows.push_back(&f);
+    out.dataset_b.labels.insert(out.dataset_b.labels.end(),
+                                r.block_labels.begin(), r.block_labels.end());
   }
-
-  auto to_matrix = [](const std::vector<std::vector<double>>& mat_rows) {
-    linalg::Matrix m(mat_rows.size(),
-                     mat_rows.empty() ? 0 : mat_rows.front().size());
-    for (std::size_t r = 0; r < mat_rows.size(); ++r) {
-      for (std::size_t c = 0; c < mat_rows[r].size(); ++c) {
-        m(r, c) = mat_rows[r][c];
-      }
+  const auto fill = [](nn::Dataset& d,
+                       const std::vector<const features::GlobalFeatures*>& fs) {
+    d.structural = linalg::Matrix(fs.size(), features::kStructuralDim);
+    d.statistics = linalg::Matrix(fs.size(), features::kStatisticsDim);
+    for (std::size_t r = 0; r < fs.size(); ++r) {
+      std::copy(fs[r]->structural.begin(), fs[r]->structural.end(),
+                &d.structural(r, 0));
+      std::copy(fs[r]->statistics.begin(), fs[r]->statistics.end(),
+                &d.statistics(r, 0));
     }
-    return m;
+    d.validate();
   };
-  out.dataset_a = {to_matrix(a_struct), to_matrix(a_stats),
-                   std::move(a_labels)};
-  out.dataset_b = {to_matrix(b_struct), to_matrix(b_stats),
-                   std::move(b_labels)};
-  out.dataset_a.validate();
-  out.dataset_b.validate();
+  fill(out.dataset_a, a_rows);
+  fill(out.dataset_b, b_rows);
+  out.networks_generated = a_rows.size();
+  out.blocks_generated = b_rows.size();
   return out;
 }
 

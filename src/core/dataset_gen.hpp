@@ -63,15 +63,8 @@ struct GeneratedDatasets {
 // takes less than `min_duration_s` cannot amortize a DVFS switch — the new
 // frequency would not even settle before the next preset point. Such blocks
 // are merged into their preceding neighbour (following for the first).
-// Durations are evaluated analytically at the platform's middle frequency.
-clustering::PowerView enforce_min_block_duration(
-    const dnn::Graph& graph, const clustering::PowerView& view,
-    const hw::Platform& platform, double min_duration_s);
-
-// Memoized variant: block durations come from `costs` (which must cover the
-// platform's maximum CPU level) instead of fresh analytic sweeps. This is
-// the form every repeated caller uses — the graph-based overload above is a
-// convenience wrapper that builds a one-plane table.
+// Durations are evaluated at the platform's middle GPU frequency on the
+// maximum-CPU plane of `costs`, which must cover that plane.
 clustering::PowerView enforce_min_block_duration(
     const hw::CostTable& costs, const clustering::PowerView& view,
     const hw::Platform& platform, double min_duration_s);
@@ -79,46 +72,40 @@ clustering::PowerView enforce_min_block_duration(
 // Feasibility horizon for one graph: a block must outlast 1.5x the full
 // switch cost, and instrumentation stays at single-digit granularity — a
 // block shorter than a tenth of the pass adds a switch without adding
-// control authority.
-double feasible_block_duration(const dnn::Graph& graph,
-                               const hw::Platform& platform);
+// control authority. `costs` must cover the maximum CPU level.
 double feasible_block_duration(const hw::CostTable& costs,
                                const hw::Platform& platform);
 
-// Steady-state cost of running one pass of `graph` under `view` with each
-// block at its analytic-optimal frequency, including per-switch DVFS cost.
+// Steady-state cost of running one pass under `view` with each block at its
+// analytic-optimal frequency, including per-switch DVFS cost. `costs` must
+// cover `cpu_level`.
 struct ViewEvaluation {
   double time_s = 0.0;
   double energy_j = 0.0;
   std::vector<std::size_t> block_levels;  // oracle level per block
 };
-ViewEvaluation evaluate_view_oracle(const dnn::Graph& graph,
-                                    const clustering::PowerView& view,
-                                    const hw::Platform& platform,
-                                    std::size_t cpu_level);
-
-// Memoized variant; `costs` must cover `cpu_level`.
 ViewEvaluation evaluate_view_oracle(const hw::CostTable& costs,
                                     const clustering::PowerView& view,
                                     const hw::Platform& platform,
                                     std::size_t cpu_level);
 
-// Selects the EE-optimal hyperparameter class for one graph by sweeping the
-// grid: each candidate view's blocks get their analytic-optimal frequencies,
-// and candidates are ranked by total energy including per-switch DVFS cost.
+// The exhaustive hyperparameter-grid sweep for one graph: every grid point's
+// feasibility-enforced view is evaluated with evaluate_view_oracle, and
+// candidates are ranked by total energy including per-switch DVFS cost.
 // Tie-breaking is fully deterministic (see the implementation): among
 // near-optimal candidates, the finest view wins, and equal block counts
-// resolve to the lower grid index.
-std::size_t best_hyperparam_class(const dnn::Graph& graph,
-                                  const hw::Platform& platform,
-                                  const DatasetGenConfig& config);
-
-// Memoized variant; `costs` must cover the platform's maximum CPU level and
-// config.cpu_level_for_labels.
-std::size_t best_hyperparam_class(const dnn::Graph& graph,
-                                  const hw::CostTable& costs,
-                                  const hw::Platform& platform,
-                                  const DatasetGenConfig& config);
+// resolve to the lower grid index. The winner's view and evaluation come
+// back with its class, so callers never cluster again. `costs` must cover
+// the platform's maximum CPU level and config.cpu_level_for_labels.
+struct GridSweep {
+  std::size_t best_class = 0;
+  clustering::PowerView view;  // the winning class's view
+  ViewEvaluation eval;         // and its oracle evaluation
+};
+GridSweep sweep_hyperparam_grid(const dnn::Graph& graph,
+                                const hw::CostTable& costs,
+                                const hw::Platform& platform,
+                                const DatasetGenConfig& config);
 
 // Full generation pass (Figure 2, "dataset generator"). Networks are
 // labelled in parallel on config.parallel threads; each network is one task

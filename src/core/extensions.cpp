@@ -1,6 +1,6 @@
 #include "core/extensions.hpp"
 
-#include "hw/analytic.hpp"
+#include "hw/cost_table.hpp"
 
 #include <stdexcept>
 
@@ -9,43 +9,21 @@ namespace powerlens::core {
 JointPlan optimize_joint_oracle(const dnn::Graph& graph,
                                 const hw::Platform& platform,
                                 const DatasetGenConfig& config) {
-  DatasetGenConfig cfg = config;
-  if (cfg.cpu_level_for_labels == 0) {
-    cfg.cpu_level_for_labels = platform.max_cpu_level();
-  }
-  const std::size_t cls = best_hyperparam_class(graph, platform, cfg);
+  PowerLensConfig lens_config;
+  lens_config.dataset = config;
+  const PowerLens framework(platform, lens_config);
+  OptimizationPlan plan = framework.plan(
+      graph,
+      {.hyper_stage = PowerLens::PlanSpec::Hyper::kOracleSweep,
+       .level_stage = PowerLens::PlanSpec::Levels::kJointArgmin},
+      nullptr);
 
-  clustering::ClusteringConfig cc;
-  cc.hyper = cfg.grid.at(cls);
-  cc.distance = cfg.distance;
-  const clustering::PowerView view = enforce_min_block_duration(
-      graph, clustering::build_power_view(graph, cc), platform,
-      feasible_block_duration(graph, platform));
-
-  JointPlan plan;
-  plan.view = view;
-  for (const clustering::PowerBlock& b : view.blocks()) {
-    const auto layers = graph.layers().subspan(b.begin, b.size());
-    std::size_t best_gpu = 0;
-    std::size_t best_cpu = 0;
-    double best_energy = -1.0;
-    for (std::size_t cpu = 0; cpu < platform.cpu_levels(); ++cpu) {
-      for (std::size_t gpu = 0; gpu < platform.gpu_levels(); ++gpu) {
-        const hw::BlockCost c =
-            hw::analytic_block_cost(platform, layers, gpu, cpu);
-        if (best_energy < 0.0 || c.energy_j < best_energy) {
-          best_energy = c.energy_j;
-          best_gpu = gpu;
-          best_cpu = cpu;
-        }
-      }
-    }
-    plan.gpu_levels.push_back(best_gpu);
-    plan.cpu_levels.push_back(best_cpu);
-    plan.schedule.points.push_back({b.begin, best_gpu});
-    plan.schedule.cpu_points.push_back({b.begin, best_cpu});
+  JointPlan joint{std::move(plan.view), std::move(plan.block_levels), {},
+                  std::move(plan.schedule)};
+  for (const hw::PresetPoint& p : joint.schedule.cpu_points) {
+    joint.cpu_levels.push_back(p.gpu_level);  // a CPU level on cpu_points
   }
-  return plan;
+  return joint;
 }
 
 BatchChoice choose_batch_size(
@@ -66,22 +44,18 @@ BatchChoice choose_batch_size(
       throw std::invalid_argument("choose_batch_size: batch must be > 0");
     }
     const dnn::Graph graph = build(batch);
-    const std::size_t cls = best_hyperparam_class(graph, platform, cfg);
-    clustering::ClusteringConfig cc;
-    cc.hyper = cfg.grid.at(cls);
-    cc.distance = cfg.distance;
-    const clustering::PowerView view = enforce_min_block_duration(
-        graph, clustering::build_power_view(graph, cc), platform,
-        feasible_block_duration(graph, platform));
-    const ViewEvaluation ev = evaluate_view_oracle(
-        graph, view, platform, cfg.cpu_level_for_labels);
+    const std::size_t cpu_levels[] = {platform.max_cpu_level(),
+                                      cfg.cpu_level_for_labels};
+    const hw::CostTable costs(platform, graph.layers(), cpu_levels);
+    const GridSweep sweep = sweep_hyperparam_grid(graph, costs, platform, cfg);
+    const ViewEvaluation& ev = sweep.eval;
 
     if (max_pass_latency_s > 0.0 && ev.time_s > max_pass_latency_s) {
       continue;
     }
     const double ee = static_cast<double>(batch) / ev.energy_j;
     if (best.batch == 0 || ee > best.ee_images_per_joule) {
-      best = {batch, ee, ev.time_s, view.block_count()};
+      best = {batch, ee, ev.time_s, sweep.view.block_count()};
     }
   }
   if (best.batch == 0) {

@@ -26,9 +26,10 @@ struct JointPlan {
   hw::PresetSchedule schedule;          // GPU + CPU preset points
 };
 
-// Joint CPU+GPU oracle optimization: clusters exactly like
-// PowerLens::optimize_oracle, then per block minimizes analytic energy over
-// the full (gpu, cpu) level product.
+// Joint CPU+GPU oracle optimization: a composition of PowerLens's staged
+// planner — the oracle grid sweep's winning view, exactly as
+// PowerLens::optimize_oracle, then per block the energy argmin over the full
+// (gpu, cpu) level product of one all-plane cost table.
 JointPlan optimize_joint_oracle(const dnn::Graph& graph,
                                 const hw::Platform& platform,
                                 const DatasetGenConfig& config = {});
@@ -40,12 +41,13 @@ struct BatchChoice {
   std::size_t blocks = 0;
 };
 
-// Sweeps candidate batch sizes for a model: each candidate gets an oracle
-// PowerLens plan, and candidates whose batch-completion latency exceeds
-// `max_pass_latency_s` are skipped (0 disables the constraint). Larger
-// batches amortize weight traffic and launch overhead (better EE) but delay
-// results — the constraint captures that trade. Returns the EE-best
-// feasible choice; throws std::invalid_argument if none is feasible.
+// Sweeps candidate batch sizes for a model: each candidate is priced by the
+// oracle grid sweep's winning view, and candidates whose batch-completion
+// latency exceeds `max_pass_latency_s` are skipped (0 disables the
+// constraint). Larger batches amortize weight traffic and launch overhead
+// (better EE) but delay results — the constraint captures that trade.
+// Returns the EE-best feasible choice; throws std::invalid_argument if none
+// is feasible.
 BatchChoice choose_batch_size(
     const std::function<dnn::Graph(std::int64_t)>& build,
     std::span<const std::int64_t> candidates, const hw::Platform& platform,

@@ -8,84 +8,75 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <fstream>
 #include <locale>
+#include <numeric>
 #include <stdexcept>
 
 namespace powerlens::core {
 
 namespace {
 
-linalg::Matrix row_matrix(const std::vector<double>& v) {
-  linalg::Matrix m(1, v.size());
-  for (std::size_t c = 0; c < v.size(); ++c) m(0, c) = v[c];
-  return m;
+// The five plan-compute phases, each feeding one
+// powerlens_plan_phase_*_ms histogram. observe_phase is the only place
+// they are observed; the handles are function-local statics so the hot path
+// never touches the registry mutex.
+enum class Phase { kPredict, kCostTable, kDistance, kCluster, kDecide };
+
+void observe_phase(Phase phase, double ms) {
+  static const std::array<obs::Histogram*, 5> hists = [] {
+    obs::MetricsRegistry& m = obs::global_metrics();
+    const std::span<const double> buckets =
+        obs::default_milliseconds_buckets();
+    return std::array<obs::Histogram*, 5>{
+        &m.histogram("powerlens_plan_phase_predict_ms", buckets,
+                     "plan compute: global features + hyperparameter "
+                     "prediction"),
+        &m.histogram("powerlens_plan_phase_cost_table_ms", buckets,
+                     "plan compute: analytic cost-table fill"),
+        &m.histogram("powerlens_plan_phase_distance_ms", buckets,
+                     "plan compute: depthwise features + power-distance "
+                     "blend"),
+        &m.histogram("powerlens_plan_phase_cluster_ms", buckets,
+                     "plan compute: DBSCAN + contiguity and feasibility "
+                     "postprocess"),
+        &m.histogram("powerlens_plan_phase_decide_ms", buckets,
+                     "plan compute: per-block frequency decisions + "
+                     "schedule emission")};
+  }();
+  hists[static_cast<std::size_t>(phase)]->observe(ms);
 }
 
-// Wall-clock phase timer feeding a powerlens_plan_phase_*_ms histogram on
-// destruction. Callers hoist the histogram reference into a function-local
-// static so the hot path never touches the registry mutex.
+double ms_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+// Times one phase from construction to destruction when `enabled`; a
+// disabled timer reads no clock.
 class PhaseTimer {
  public:
-  explicit PhaseTimer(obs::Histogram& hist)
-      : hist_(hist), start_(std::chrono::steady_clock::now()) {}
+  PhaseTimer(Phase phase, bool enabled)
+      : phase_(phase),
+        enabled_(enabled),
+        start_(enabled ? std::chrono::steady_clock::now()
+                       : std::chrono::steady_clock::time_point{}) {}
   ~PhaseTimer() {
-    hist_.observe(std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - start_)
-                      .count());
+    if (enabled_) observe_phase(phase_, ms_since(start_));
   }
   PhaseTimer(const PhaseTimer&) = delete;
   PhaseTimer& operator=(const PhaseTimer&) = delete;
 
  private:
-  obs::Histogram& hist_;
+  Phase phase_;
+  bool enabled_;
   std::chrono::steady_clock::time_point start_;
 };
-
-obs::Histogram& phase_predict_hist() {
-  static obs::Histogram& h = obs::global_metrics().histogram(
-      "powerlens_plan_phase_predict_ms", obs::default_milliseconds_buckets(),
-      "plan compute: global features + hyperparameter prediction");
-  return h;
-}
-obs::Histogram& phase_cost_table_hist() {
-  static obs::Histogram& h = obs::global_metrics().histogram(
-      "powerlens_plan_phase_cost_table_ms",
-      obs::default_milliseconds_buckets(),
-      "plan compute: analytic cost-table fill");
-  return h;
-}
-obs::Histogram& phase_distance_hist() {
-  static obs::Histogram& h = obs::global_metrics().histogram(
-      "powerlens_plan_phase_distance_ms", obs::default_milliseconds_buckets(),
-      "plan compute: depthwise features + power-distance blend");
-  return h;
-}
-obs::Histogram& phase_cluster_hist() {
-  static obs::Histogram& h = obs::global_metrics().histogram(
-      "powerlens_plan_phase_cluster_ms", obs::default_milliseconds_buckets(),
-      "plan compute: DBSCAN + contiguity and feasibility postprocess");
-  return h;
-}
-obs::Histogram& phase_decide_hist() {
-  static obs::Histogram& h = obs::global_metrics().histogram(
-      "powerlens_plan_phase_decide_ms", obs::default_milliseconds_buckets(),
-      "plan compute: per-block frequency decisions + schedule emission");
-  return h;
-}
-
-// Fills the plan's static per-pass cost prediction from the emitted
-// schedule (MAXN initial levels — the serving engine's boot state).
-void predict_plan_cost(const hw::Platform& platform, const dnn::Graph& graph,
-                       OptimizationPlan& plan) {
-  const hw::BlockCost cost =
-      hw::schedule_cost(platform, graph.layers(), plan.schedule,
-                        platform.max_gpu_level(), platform.max_cpu_level());
-  plan.predicted_pass_time_s = cost.time_s;
-  plan.predicted_pass_energy_j = cost.energy_j;
-}
 
 }  // namespace
 
@@ -128,27 +119,21 @@ int PredictionModel::predict(const features::GlobalFeatures& features,
   if (!trained()) {
     throw std::logic_error("PredictionModel: predict before fit");
   }
-  if (ws == nullptr) {
-    const linalg::Matrix xs =
-        scaler_structural_.transform(row_matrix(features.structural));
-    const linalg::Matrix xt =
-        scaler_statistics_.transform(row_matrix(features.statistics));
-    return mlp_->predict(xs, xt).front();
-  }
-  // Workspace path: lease the two feature rows, scale them in place
-  // (transform_into is elementwise, so aliasing input and output is fine),
-  // and run the single-sample MLP forward on leased activations.
-  linalg::Workspace::Lease xs = ws->lease(1, features.structural.size());
-  linalg::Workspace::Lease xt = ws->lease(1, features.statistics.size());
-  for (std::size_t c = 0; c < features.structural.size(); ++c) {
-    (*xs)(0, c) = features.structural[c];
-  }
-  for (std::size_t c = 0; c < features.statistics.size(); ++c) {
-    (*xt)(0, c) = features.statistics[c];
-  }
+  // Lease the two feature rows, scale them in place (transform_into is
+  // elementwise, so aliasing input and output is fine), and run the
+  // single-sample MLP forward on leased activations. A local workspace
+  // stands in when the caller passed none (provenance never changes values).
+  linalg::Workspace local_ws;
+  linalg::Workspace& w = ws != nullptr ? *ws : local_ws;
+  linalg::Workspace::Lease xs = w.lease(1, features.structural.size());
+  linalg::Workspace::Lease xt = w.lease(1, features.statistics.size());
+  std::copy(features.structural.begin(), features.structural.end(),
+            xs->data().begin());
+  std::copy(features.statistics.begin(), features.statistics.end(),
+            xt->data().begin());
   scaler_structural_.transform_into(*xs, *xs);
   scaler_statistics_.transform_into(*xt, *xt);
-  return mlp_->predict_one(*xs, *xt, *ws);
+  return mlp_->predict_one(*xs, *xt, w);
 }
 
 void PredictionModel::save(std::ostream& os) const {
@@ -188,14 +173,10 @@ PowerLens::PowerLens(const hw::Platform& platform, PowerLensConfig config)
     config_.dataset.cpu_level_for_labels = platform.max_cpu_level();
   }
   // One knob drives the whole offline phase unless a sub-config overrides.
-  if (config_.dataset.parallel.num_threads == 0) {
-    config_.dataset.parallel = config_.parallel;
-  }
-  if (config_.train_hyper.parallel.num_threads == 0) {
-    config_.train_hyper.parallel = config_.parallel;
-  }
-  if (config_.train_decision.parallel.num_threads == 0) {
-    config_.train_decision.parallel = config_.parallel;
+  for (util::ParallelConfig* sub :
+       {&config_.dataset.parallel, &config_.train_hyper.parallel,
+        &config_.train_decision.parallel}) {
+    if (sub->num_threads == 0) *sub = config_.parallel;
   }
 }
 
@@ -234,121 +215,183 @@ TrainingSummary PowerLens::train() {
   return s;
 }
 
-std::size_t PowerLens::decide_block_level(const dnn::Graph& graph,
-                                          const clustering::PowerBlock& block,
-                                          const hw::CostTable* oracle_costs,
-                                          linalg::Workspace* ws) const {
-  if (oracle_costs != nullptr) {
-    return oracle_costs->optimal_gpu_level(block.begin, block.end,
-                                           config_.dataset.cpu_level_for_labels);
+clustering::ClusteringHyperparams PowerLens::learned_hyper(
+    const dnn::Graph& graph, linalg::Workspace* ws, bool record) const {
+  obs::ScopedSpan span(obs::default_trace(), "predict_hyper", "pipeline");
+  const PhaseTimer timer(Phase::kPredict, record);
+  const int cls = hyper_model_.predict(
+      features::GlobalFeatureExtractor::extract(graph), ws);
+  return config_.dataset.grid.at(static_cast<std::size_t>(cls));
+}
+
+OptimizationPlan PowerLens::plan(const dnn::Graph& graph, PlanSpec spec,
+                                 linalg::Workspace* ws) const {
+  using S = PlanSpec;
+  const bool sweep = spec.hyper_stage == S::Hyper::kOracleSweep;
+  if ((spec.hyper_stage == S::Hyper::kLearned ||
+       spec.level_stage == S::Levels::kLearned) &&
+      !trained()) {
+    throw std::logic_error("PowerLens: optimize before train");
   }
-  const features::GlobalFeatures f =
-      features::GlobalFeatureExtractor::extract(graph, block.begin,
-                                                block.end);
-  const int level = decision_model_.predict(f, ws);
-  if (level < 0 || static_cast<std::size_t>(level) >= platform_->gpu_levels()) {
-    throw std::logic_error("PowerLens: decision model emitted a bad level");
+  obs::TraceWriter& tw = obs::default_trace();
+  const bool record = spec.record_phases;
+  const std::size_t label_cpu = config_.dataset.cpu_level_for_labels;
+
+  // The one cost table, with the CPU planes its stages read: the sweep and
+  // feasibility read the maximum plane, the argmin the labelling plane, the
+  // product argmin every plane. A given view with learned levels needs none.
+  std::vector<std::size_t> planes;
+  if (spec.level_stage == S::Levels::kJointArgmin) {
+    planes.resize(platform_->cpu_levels());
+    std::iota(planes.begin(), planes.end(), std::size_t{0});
   }
-  return static_cast<std::size_t>(level);
+  if (sweep || spec.view_stage != S::View::kGiven) {
+    planes.push_back(platform_->max_cpu_level());
+  }
+  if (sweep || spec.level_stage == S::Levels::kCostArgmin) {
+    planes.push_back(label_cpu);
+  }
+  std::optional<hw::CostTable> costs;
+  if (!planes.empty()) {
+    const PhaseTimer timer(Phase::kCostTable, record);
+    costs = spec.cost_features != nullptr
+                ? hw::CostTable(*platform_, *spec.cost_features, planes)
+                : hw::CostTable(*platform_, graph.layers(), planes);
+    if (spec.signals != nullptr) {
+      costs = costs->scaled(spec.signals->time_scale,
+                            spec.signals->energy_scale);
+    }
+  }
+
+  // Stage 1: hyperparameters. The sweep also settles the view.
+  OptimizationPlan plan;
+  plan.hyper = spec.hyper;
+  if (spec.hyper_stage == S::Hyper::kLearned) {
+    plan.hyper = learned_hyper(graph, ws, record);
+  } else if (sweep) {
+    GridSweep winner =
+        sweep_hyperparam_grid(graph, *costs, *platform_, config_.dataset);
+    plan.hyper = config_.dataset.grid.at(winner.best_class);
+    spec.view = std::move(winner.view);
+  }
+
+  // Stage 2: the power view, post-processed to deployment-feasible block
+  // durations. eps is known here, so the distance pipeline emits the
+  // ε-adjacency inside its own sweeps and DBSCAN runs on CSR neighbor lists.
+  if (sweep || spec.view_stage == S::View::kGiven) {
+    if (spec.view.num_layers() != graph.size()) {
+      throw std::invalid_argument("PowerLens: view does not match graph");
+    }
+    plan.view = std::move(spec.view);
+  } else {
+    obs::ScopedSpan span(tw, "cluster_and_postprocess", "pipeline");
+    // A local workspace stands in when the caller passed none (buffer
+    // provenance never changes values).
+    linalg::Workspace local_ws;
+    linalg::Workspace& plan_ws = ws != nullptr ? *ws : local_ws;
+    std::optional<linalg::Workspace::Lease> dist;
+    clustering::EpsAdjacency adj;
+    if (spec.view_stage == S::View::kClustered) {
+      const linalg::Matrix table =
+          features::DepthwiseFeatureExtractor::extract(graph);
+      dist.emplace(plan_ws.lease(0, 0));
+      const PhaseTimer timer(Phase::kDistance, record);
+      clustering::power_distances_adj_into(table, config_.dataset.distance,
+                                           plan.hyper.eps, plan_ws, **dist,
+                                           adj);
+      spec.distances = &**dist;
+      spec.adjacency = &adj;
+    } else if (record) {
+      observe_phase(Phase::kDistance, spec.distance_ms);
+    }
+    const PhaseTimer timer(Phase::kCluster, record);
+    plan.view = enforce_min_block_duration(
+        *costs,
+        clustering::build_power_view_from_adjacency(
+            *spec.distances, *spec.adjacency, plan.hyper),
+        *platform_, feasible_block_duration(*costs, *platform_));
+  }
+
+  // Stage 3: one level per block and the preset schedule.
+  obs::ScopedSpan span(tw, "decide_levels", "pipeline");
+  const PhaseTimer timer(Phase::kDecide, record);
+  for (const clustering::PowerBlock& b : plan.view.blocks()) {
+    std::size_t gpu = 0;
+    if (spec.level_stage == S::Levels::kLearned) {
+      const int level = decision_model_.predict(
+          features::GlobalFeatureExtractor::extract(graph, b.begin, b.end),
+          ws);
+      if (level < 0 ||
+          static_cast<std::size_t>(level) >= platform_->gpu_levels()) {
+        throw std::logic_error("PowerLens: decision model emitted a bad level");
+      }
+      gpu = static_cast<std::size_t>(level);
+    } else if (spec.level_stage == S::Levels::kCostArgmin) {
+      gpu = costs->optimal_gpu_level(
+          b.begin, b.end, label_cpu,
+          spec.signals != nullptr ? spec.signals->gpu_level_cap
+                                  : platform_->max_gpu_level());
+    } else {
+      // CPU-major with strict <, so exact ties keep the lowest pair.
+      std::size_t best_cpu = 0;
+      double best_energy = -1.0;
+      for (std::size_t cpu = 0; cpu < platform_->cpu_levels(); ++cpu) {
+        for (std::size_t g = 0; g < platform_->gpu_levels(); ++g) {
+          const double e = costs->block_cost(b.begin, b.end, g, cpu).energy_j;
+          if (best_energy < 0.0 || e < best_energy) {
+            best_energy = e;
+            gpu = g;
+            best_cpu = cpu;
+          }
+        }
+      }
+      plan.schedule.cpu_points.push_back({b.begin, best_cpu});
+    }
+    plan.block_levels.push_back(gpu);
+    plan.schedule.points.push_back({b.begin, gpu});
+  }
+
+  // The predicted per-pass cost stays on schedule_cost from MAXN initial
+  // levels (the serving boot state): block sums read as prefix differences
+  // from the table would move its bits.
+  const hw::BlockCost cost = hw::schedule_cost(
+      *platform_, graph.layers(), plan.schedule, platform_->max_gpu_level(),
+      platform_->max_cpu_level());
+  plan.predicted_pass_time_s = cost.time_s;
+  plan.predicted_pass_energy_j = cost.energy_j;
+  if (spec.signals != nullptr) {
+    // Corrected prediction: observed request time is
+    // passes * (actual_pass + gap) with the gap an uncorrectable idle, so
+    // the time correction spills its excess onto the gap:
+    //   passes * (raw*s + gap*(s-1) + gap) = s * passes * (raw + gap),
+    // which is exactly (1 + ewma) x the uncorrected total — the residual
+    // the EWMA measured collapses to ~0 under unchanged fault pressure.
+    const AdaptSignals& sig = *spec.signals;
+    plan.predicted_pass_time_s = plan.predicted_pass_time_s * sig.time_scale +
+                                 sig.inter_pass_gap_s * (sig.time_scale - 1.0);
+    plan.predicted_pass_energy_j *= sig.energy_scale;
+  }
+  return plan;
 }
 
 OptimizationPlan PowerLens::plan_for_view(const dnn::Graph& graph,
                                           clustering::PowerView view,
                                           bool use_oracle,
                                           linalg::Workspace* ws) const {
-  if (!use_oracle && !trained()) {
-    throw std::logic_error("PowerLens: optimize before train");
-  }
-  if (view.num_layers() != graph.size()) {
-    throw std::invalid_argument("PowerLens: view does not match graph");
-  }
-  // The oracle path sweeps the GPU ladder once per block; memoize the layer
-  // costs once for the whole graph instead of per (block, level) pair.
-  std::optional<hw::CostTable> costs;
-  if (use_oracle) {
-    const std::size_t cpu_levels[] = {config_.dataset.cpu_level_for_labels};
-    costs.emplace(*platform_, graph.layers(), cpu_levels);
-  }
-  OptimizationPlan plan;
-  plan.view = std::move(view);
-  for (const clustering::PowerBlock& b : plan.view.blocks()) {
-    const std::size_t level =
-        decide_block_level(graph, b, costs ? &*costs : nullptr, ws);
-    plan.block_levels.push_back(level);
-    plan.schedule.points.push_back({b.begin, level});
-  }
-  predict_plan_cost(*platform_, graph, plan);
-  return plan;
+  PlanSpec spec{.hyper_stage = PlanSpec::Hyper::kGiven,
+                .view_stage = PlanSpec::View::kGiven,
+                .level_stage = use_oracle ? PlanSpec::Levels::kCostArgmin
+                                          : PlanSpec::Levels::kLearned,
+                .view = std::move(view)};
+  return plan(graph, std::move(spec), ws);
 }
 
 OptimizationPlan PowerLens::optimize(const dnn::Graph& graph,
                                      linalg::Workspace* ws) const {
-  if (!trained()) {
-    throw std::logic_error("PowerLens: optimize before train");
-  }
-  obs::TraceWriter& tw = obs::default_trace();
-  obs::ScopedSpan opt_span(
-      tw, "powerlens_optimize", "pipeline",
+  obs::ScopedSpan span(
+      obs::default_trace(), "powerlens_optimize", "pipeline",
       {obs::TraceArg::num("layers", static_cast<double>(graph.size()))});
-
-  // Step 1: predict clustering hyperparameters from global features.
-  int cls = 0;
-  {
-    obs::ScopedSpan span(tw, "predict_hyper", "pipeline");
-    PhaseTimer timer(phase_predict_hist());
-    const features::GlobalFeatures net_features =
-        features::GlobalFeatureExtractor::extract(graph);
-    cls = hyper_model_.predict(net_features, ws);
-  }
-  const clustering::ClusteringHyperparams hp =
-      config_.dataset.grid.at(static_cast<std::size_t>(cls));
-
-  // Steps 2-3: power behavior similarity clustering into a power view,
-  // post-processed to deployment-feasible block durations. Feasibility only
-  // reads the (mid GPU, max CPU) plane, so a one-plane table suffices.
-  // build_power_view is inlined into its public pieces (feature extraction
-  // + distance blend, then DBSCAN) so each phase lands in its own
-  // powerlens_plan_phase_*_ms histogram. eps is already predicted here, so
-  // the distance pipeline emits the ε-adjacency inside its own sweeps and
-  // DBSCAN runs on CSR neighbor lists — same labels, same view, no matrix
-  // rescans. A local workspace stands in when the caller passed none
-  // (buffer provenance never changes values).
-  clustering::ClusteringConfig cc;
-  cc.hyper = hp;
-  cc.distance = config_.dataset.distance;
-  linalg::Workspace local_ws;
-  linalg::Workspace& plan_ws = ws != nullptr ? *ws : local_ws;
-  clustering::PowerView view = [&] {
-    obs::ScopedSpan span(tw, "cluster_and_postprocess", "pipeline");
-    const std::size_t cpu_levels[] = {platform_->max_cpu_level()};
-    std::optional<hw::CostTable> costs;
-    {
-      PhaseTimer timer(phase_cost_table_hist());
-      costs.emplace(*platform_, graph.layers(), cpu_levels);
-    }
-    const linalg::Matrix table =
-        features::DepthwiseFeatureExtractor::extract(graph);
-    linalg::Workspace::Lease dist = plan_ws.lease(0, 0);
-    clustering::EpsAdjacency adj;
-    {
-      PhaseTimer timer(phase_distance_hist());
-      clustering::power_distances_adj_into(table, cc.distance, hp.eps,
-                                           plan_ws, *dist, adj);
-    }
-    PhaseTimer timer(phase_cluster_hist());
-    return enforce_min_block_duration(
-        *costs,
-        clustering::build_power_view_from_adjacency(*dist, adj, cc.hyper),
-        *platform_, feasible_block_duration(*costs, *platform_));
-  }();
-
-  // Steps 4-5: per-block frequency decisions and the preset schedule.
-  obs::ScopedSpan decide_span(tw, "decide_levels", "pipeline");
-  OptimizationPlan plan = [&] {
-    PhaseTimer timer(phase_decide_hist());
-    return plan_for_view(graph, std::move(view), false, ws);
-  }();
-  plan.hyper = hp;
+  OptimizationPlan plan = this->plan(graph, {.record_phases = true}, ws);
   obs::log_debug(
       "powerlens", "optimized graph",
       {{"layers", static_cast<double>(graph.size())},
@@ -362,144 +405,77 @@ std::vector<OptimizationPlan> PowerLens::optimize_batch(
     throw std::logic_error("PowerLens: optimize before train");
   }
   std::vector<OptimizationPlan> plans;
-  plans.reserve(graphs.size());
   if (graphs.empty()) return plans;
 
   obs::TraceWriter& tw = obs::default_trace();
   obs::ScopedSpan opt_span(
       tw, "powerlens_optimize_batch", "pipeline",
       {obs::TraceArg::num("graphs", static_cast<double>(graphs.size()))});
-
   // The distance batch needs a workspace even on the heap path; a local one
   // only changes buffer provenance, never values.
   linalg::Workspace local_ws;
   linalg::Workspace& batch_ws = ws != nullptr ? *ws : local_ws;
 
-  // Phase 1, per graph: predicted clustering hyperparameters and the
-  // unscaled depthwise feature table (optimize() steps 1-2a).
-  std::vector<clustering::ClusteringHyperparams> hps;
-  hps.reserve(graphs.size());
-  std::vector<linalg::Matrix> tables;
-  tables.reserve(graphs.size());
-  for (const dnn::Graph* graph : graphs) {
-    PhaseTimer timer(phase_predict_hist());
-    const features::GlobalFeatures net_features =
-        features::GlobalFeatureExtractor::extract(*graph);
-    const int cls = hyper_model_.predict(net_features, ws);
-    hps.push_back(config_.dataset.grid.at(static_cast<std::size_t>(cls)));
-    tables.push_back(features::DepthwiseFeatureExtractor::extract(*graph));
+  // Stage 1 per graph, then every graph's power distances through ONE
+  // shared eigendecomposition batch, each emitting its ε-adjacency.
+  const std::size_t n = graphs.size();
+  std::vector<clustering::ClusteringHyperparams> hps(n);
+  std::vector<linalg::Matrix> tables(n);
+  std::vector<const linalg::Matrix*> table_ptrs(n);
+  std::vector<double> eps(n);
+  std::vector<linalg::Workspace::Lease> dists;
+  std::vector<linalg::Matrix*> dist_ptrs(n);
+  std::vector<clustering::EpsAdjacency> adjs(n);
+  std::vector<clustering::EpsAdjacency*> adj_ptrs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    hps[i] = learned_hyper(*graphs[i], ws, /*record=*/true);
+    tables[i] = features::DepthwiseFeatureExtractor::extract(*graphs[i]);
+    table_ptrs[i] = &tables[i];
+    eps[i] = hps[i].eps;
+    dists.push_back(batch_ws.lease(0, 0));
+    dist_ptrs[i] = &*dists.back();
+    adj_ptrs[i] = &adjs[i];
   }
-
-  // Phase 2: every graph's power-distance matrix through one shared
-  // eigendecomposition batch, each emitting its ε-adjacency (per-graph eps
-  // from phase 1's predictions) inside the distance sweeps.
-  std::vector<const linalg::Matrix*> table_ptrs;
-  table_ptrs.reserve(tables.size());
-  for (const linalg::Matrix& t : tables) table_ptrs.push_back(&t);
-  std::vector<linalg::Workspace::Lease> dist_leases;
-  dist_leases.reserve(graphs.size());
-  std::vector<linalg::Matrix*> dist_ptrs;
-  dist_ptrs.reserve(graphs.size());
-  std::vector<double> eps;
-  eps.reserve(graphs.size());
-  std::vector<clustering::EpsAdjacency> adjs(graphs.size());
-  std::vector<clustering::EpsAdjacency*> adj_ptrs;
-  adj_ptrs.reserve(graphs.size());
-  for (std::size_t i = 0; i < graphs.size(); ++i) {
-    dist_leases.push_back(batch_ws.lease(0, 0));
-    dist_ptrs.push_back(&*dist_leases.back());
-    eps.push_back(hps[i].eps);
-    adj_ptrs.push_back(&adjs[i]);
-  }
+  const auto start = std::chrono::steady_clock::now();
   {
     obs::ScopedSpan span(tw, "batched_power_distances", "pipeline");
-    const auto t0 = std::chrono::steady_clock::now();
     clustering::power_distances_adj_batch_into(
         table_ptrs, config_.dataset.distance, eps, batch_ws, dist_ptrs,
         adj_ptrs);
-    // Amortised per-plan share of the shared sweep, observed once per
-    // graph — same discipline as powerlens_serve_plan_compute_ms.
-    const double ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count() /
-                      static_cast<double>(graphs.size());
-    for (std::size_t i = 0; i < graphs.size(); ++i) {
-      phase_distance_hist().observe(ms);
-    }
   }
+  // Each plan is charged its amortised share of the shared sweep — same
+  // discipline as powerlens_serve_plan_compute_ms.
+  const double distance_ms = ms_since(start) / static_cast<double>(n);
 
-  // Phase 3, per graph: clustering, feasibility post-processing, per-block
-  // frequency decisions (optimize() steps 2b-5, same order per graph).
-  for (std::size_t i = 0; i < graphs.size(); ++i) {
-    const dnn::Graph& graph = *graphs[i];
-    const std::size_t cpu_levels[] = {platform_->max_cpu_level()};
-    std::optional<hw::CostTable> costs;
-    {
-      PhaseTimer timer(phase_cost_table_hist());
-      costs.emplace(*platform_, graph.layers(), cpu_levels);
-    }
-    clustering::PowerView view = [&] {
-      PhaseTimer timer(phase_cluster_hist());
-      return enforce_min_block_duration(
-          *costs,
-          clustering::build_power_view_from_adjacency(*dist_ptrs[i], adjs[i],
-                                                      hps[i]),
-          *platform_, feasible_block_duration(*costs, *platform_));
-    }();
-    OptimizationPlan plan = [&] {
-      PhaseTimer timer(phase_decide_hist());
-      return plan_for_view(graph, std::move(view), false, ws);
-    }();
-    plan.hyper = hps[i];
-    plans.push_back(std::move(plan));
+  for (std::size_t i = 0; i < n; ++i) {
+    plans.push_back(plan(*graphs[i],
+                         {.hyper_stage = PlanSpec::Hyper::kGiven,
+                          .view_stage = PlanSpec::View::kPrecomputed,
+                          .hyper = hps[i],
+                          .distances = dist_ptrs[i],
+                          .adjacency = &adjs[i],
+                          .distance_ms = distance_ms,
+                          .record_phases = true},
+                         ws));
   }
   obs::log_debug("powerlens", "optimized graph batch",
-                 {{"graphs", static_cast<double>(plans.size())}});
+                 {{"graphs", static_cast<double>(n)}});
   return plans;
 }
 
 OptimizationPlan PowerLens::optimize_oracle(const dnn::Graph& graph) const {
-  // The exhaustive-sweep pipeline touches every (block, gpu level) pair many
-  // times over; one CostTable covers the hyperparameter sweep, feasibility
-  // enforcement, and the per-block ladder scans.
-  std::vector<std::size_t> cpu_levels = {platform_->max_cpu_level()};
-  if (config_.dataset.cpu_level_for_labels != platform_->max_cpu_level()) {
-    cpu_levels.push_back(config_.dataset.cpu_level_for_labels);
-  }
-  const hw::CostTable costs(*platform_, graph.layers(), cpu_levels);
-
-  const std::size_t cls =
-      best_hyperparam_class(graph, costs, *platform_, config_.dataset);
-  const clustering::ClusteringHyperparams hp = config_.dataset.grid.at(cls);
-
-  clustering::ClusteringConfig cc;
-  cc.hyper = hp;
-  cc.distance = config_.dataset.distance;
-  clustering::PowerView view = enforce_min_block_duration(
-      costs, clustering::build_power_view(graph, cc), *platform_,
-      feasible_block_duration(costs, *platform_));
-
-  OptimizationPlan plan;
-  plan.view = std::move(view);
-  for (const clustering::PowerBlock& b : plan.view.blocks()) {
-    const std::size_t level = decide_block_level(graph, b, &costs, nullptr);
-    plan.block_levels.push_back(level);
-    plan.schedule.points.push_back({b.begin, level});
-  }
-  plan.hyper = hp;
-  predict_plan_cost(*platform_, graph, plan);
-  return plan;
+  return plan(graph,
+              {.hyper_stage = PlanSpec::Hyper::kOracleSweep,
+               .level_stage = PlanSpec::Levels::kCostArgmin},
+              nullptr);
 }
 
 std::vector<OptimizationPlan> PowerLens::replan_batch(
     std::span<const ReplanRequest> requests) const {
   std::vector<OptimizationPlan> plans;
-  plans.reserve(requests.size());
   if (requests.empty()) return plans;
-
-  obs::TraceWriter& tw = obs::default_trace();
   obs::ScopedSpan span(
-      tw, "powerlens_replan_batch", "pipeline",
+      obs::default_trace(), "powerlens_replan_batch", "pipeline",
       {obs::TraceArg::num("plans", static_cast<double>(requests.size()))});
 
   for (const ReplanRequest& req : requests) {
@@ -512,47 +488,18 @@ std::vector<OptimizationPlan> PowerLens::replan_batch(
         !std::isfinite(sig.inter_pass_gap_s) || sig.inter_pass_gap_s < 0.0) {
       throw std::invalid_argument("PowerLens: bad adapt signals");
     }
-    if (req.base->view.num_layers() != req.graph->size()) {
-      throw std::invalid_argument("PowerLens: replan base does not match graph");
-    }
-
-    // Rescaled analytic plane at the labelling CPU level — same operating
-    // point the offline labels were swept at, so an all-ones correction
-    // reproduces the oracle's level choices exactly.
-    const std::size_t cpu_level = config_.dataset.cpu_level_for_labels;
-    const std::size_t cpu_levels[] = {cpu_level};
-    // Epoch-over-epoch refills share the caller's cached per-layer features
-    // when provided; the layer-span constructor is extract-then-fill with
-    // the same features, so both branches produce identical tables.
-    const hw::CostTable costs =
-        (req.cost_features != nullptr
-             ? hw::CostTable(*platform_, *req.cost_features, cpu_levels)
-             : hw::CostTable(*platform_, req.graph->layers(), cpu_levels))
-            .scaled(sig.time_scale, sig.energy_scale);
-
-    OptimizationPlan plan;
-    plan.hyper = req.base->hyper;
-    plan.view = req.base->view;  // partition preserved; levels re-picked
-    for (const clustering::PowerBlock& b : plan.view.blocks()) {
-      const std::size_t level = costs.optimal_gpu_level(
-          b.begin, b.end, cpu_level, sig.gpu_level_cap);
-      plan.block_levels.push_back(level);
-      plan.schedule.points.push_back({b.begin, level});
-    }
-
-    // Corrected prediction: the new schedule's raw analytic cost, scaled by
-    // the learned correction. Observed request time is
-    // passes * (actual_pass + gap) with the gap an uncorrectable idle, so
-    // the time correction spills its excess onto the gap:
-    //   passes * (raw*s + gap*(s-1) + gap) = s * passes * (raw + gap),
-    // which is exactly (1 + ewma) x the uncorrected total — the residual
-    // the EWMA measured collapses to ~0 under unchanged fault pressure.
-    predict_plan_cost(*platform_, *req.graph, plan);
-    plan.predicted_pass_time_s =
-        plan.predicted_pass_time_s * sig.time_scale +
-        sig.inter_pass_gap_s * (sig.time_scale - 1.0);
-    plan.predicted_pass_energy_j *= sig.energy_scale;
-    plans.push_back(std::move(plan));
+    // The base plan's partition is kept (the drift signal is about cost,
+    // not block shape) and its levels re-picked on the labelling plane, so
+    // an all-ones correction reproduces the oracle's choices.
+    plans.push_back(plan(*req.graph,
+                         {.hyper_stage = PlanSpec::Hyper::kGiven,
+                          .view_stage = PlanSpec::View::kGiven,
+                          .level_stage = PlanSpec::Levels::kCostArgmin,
+                          .hyper = req.base->hyper,
+                          .view = req.base->view,
+                          .signals = &sig,
+                          .cost_features = req.cost_features},
+                         nullptr));
   }
   obs::log_debug("powerlens", "replanned batch",
                  {{"plans", static_cast<double>(plans.size())}});

@@ -11,6 +11,9 @@
 //               (Algorithm 1), 3) predict each block's target frequency,
 //               4) emit the preset DVFS instrumentation schedule that the
 //               runtime engine applies at block boundaries.
+//
+// Every planning entry point below, and the joint CPU+GPU oracle in
+// core/extensions, composes one private staged planner (DESIGN §5k).
 #pragma once
 
 #include "clustering/cluster.hpp"
@@ -52,9 +55,9 @@ class PredictionModel {
   bool trained() const noexcept { return mlp_.has_value(); }
 
   // Predicted class for one feature bundle. Throws std::logic_error if not
-  // trained. When `ws` is non-null, the scaled feature rows and every MLP
-  // activation are leased from it (the serving hot path's per-worker
-  // workspace) instead of heap-allocated.
+  // trained. The scaled feature rows and every MLP activation are leased
+  // from `ws` (the serving hot path's per-worker workspace), or from a
+  // call-local workspace when it is null.
   int predict(const features::GlobalFeatures& features,
               linalg::Workspace* ws = nullptr) const;
 
@@ -146,9 +149,14 @@ struct ReplanRequest {
   const hw::CostFeatures* cost_features = nullptr;
 };
 
+struct JointPlan;  // core/extensions.hpp
+
 class PowerLens {
  public:
+  // Keeps a reference to `platform`, which must outlive the framework; a
+  // temporary would dangle, so rvalues are rejected at compile time.
   explicit PowerLens(const hw::Platform& platform, PowerLensConfig config = {});
+  PowerLens(const hw::Platform&&, PowerLensConfig = {}) = delete;
 
   // Full offline model-training phase. Must be called before optimize().
   TrainingSummary train();
@@ -176,7 +184,8 @@ class PowerLens {
       linalg::Workspace* ws = nullptr) const;
 
   // Analytic upper bound: the same pipeline but with exhaustive-sweep ground
-  // truth in place of both models (dataset-generation labelling rules).
+  // truth in place of both models (dataset-generation labelling rules). The
+  // grid sweep's winning view is the plan's view; nothing is clustered twice.
   OptimizationPlan optimize_oracle(const dnn::Graph& graph) const;
 
   // Online re-planning (the serving adaptation loop): for each request,
@@ -220,10 +229,38 @@ class PowerLens {
   const PowerLensConfig& config() const noexcept { return config_; }
 
  private:
-  std::size_t decide_block_level(const dnn::Graph& graph,
-                                 const clustering::PowerBlock& block,
-                                 const hw::CostTable* oracle_costs,
-                                 linalg::Workspace* ws) const;
+  // One choice per stage of the staged planner (DESIGN §5k tabulates what
+  // each entry point composes). The oracle sweep also settles the view, the
+  // cost argmin applies `signals` when set, and the joint argmin also emits
+  // CPU presets.
+  struct PlanSpec {
+    enum class Hyper { kLearned, kOracleSweep, kGiven };
+    enum class View { kClustered, kPrecomputed, kGiven };
+    enum class Levels { kLearned, kCostArgmin, kJointArgmin };
+    Hyper hyper_stage = Hyper::kLearned;
+    View view_stage = View::kClustered;
+    Levels level_stage = Levels::kLearned;
+    clustering::ClusteringHyperparams hyper{};
+    clustering::PowerView view{};
+    const linalg::Matrix* distances = nullptr;
+    const clustering::EpsAdjacency* adjacency = nullptr;
+    double distance_ms = 0.0;  // amortised share of the batched sweep
+    const AdaptSignals* signals = nullptr;
+    const hw::CostFeatures* cost_features = nullptr;
+    bool record_phases = false;  // observe powerlens_plan_phase_*_ms
+  };
+
+  OptimizationPlan plan(const dnn::Graph& graph, PlanSpec spec,
+                        linalg::Workspace* ws) const;
+  // The learned hyperparameter stage, also run ahead of a batched distance
+  // stage.
+  clustering::ClusteringHyperparams learned_hyper(const dnn::Graph& graph,
+                                                  linalg::Workspace* ws,
+                                                  bool record) const;
+
+  friend JointPlan optimize_joint_oracle(const dnn::Graph& graph,
+                                         const hw::Platform& platform,
+                                         const DatasetGenConfig& config);
 
   const hw::Platform* platform_;  // non-owning
   PowerLensConfig config_;

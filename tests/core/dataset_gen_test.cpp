@@ -3,6 +3,7 @@
 #include "dnn/models.hpp"
 #include "features/global.hpp"
 #include "hw/analytic.hpp"
+#include "hw/cost_table.hpp"
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,13 @@
 
 namespace powerlens::core {
 namespace {
+
+// A one-plane table at `cpu_level` — all an oracle evaluation reads.
+hw::CostTable cost_plane(const hw::Platform& platform, const dnn::Graph& g,
+                         std::size_t cpu_level) {
+  const std::size_t cpu_levels[] = {cpu_level};
+  return hw::CostTable(platform, g.layers(), cpu_levels);
+}
 
 TEST(HyperparamGrid, IndexRoundTrip) {
   const HyperparamGrid grid;
@@ -30,8 +38,9 @@ TEST(EvaluateViewOracle, SingleBlockMatchesOptimalLevel) {
   const hw::Platform platform = hw::make_tx2();
   const dnn::Graph g = dnn::make_resnet34(8);
   const clustering::PowerView view({{0, g.size()}}, g.size());
+  const std::size_t cpu = platform.max_cpu_level();
   const ViewEvaluation ev =
-      evaluate_view_oracle(g, view, platform, platform.max_cpu_level());
+      evaluate_view_oracle(cost_plane(platform, g, cpu), view, platform, cpu);
   ASSERT_EQ(ev.block_levels.size(), 1u);
   EXPECT_EQ(ev.block_levels[0],
             hw::optimal_gpu_level(platform, g.layers(),
@@ -52,8 +61,9 @@ TEST(EvaluateViewOracle, MoreBlocksNeverWorseBeforeSwitchCost) {
   const clustering::PowerView two({{0, half}, {half, g.size()}}, g.size());
 
   const std::size_t cpu = platform.max_cpu_level();
-  const ViewEvaluation e1 = evaluate_view_oracle(g, one, platform, cpu);
-  const ViewEvaluation e2 = evaluate_view_oracle(g, two, platform, cpu);
+  const hw::CostTable costs = cost_plane(platform, g, cpu);
+  const ViewEvaluation e1 = evaluate_view_oracle(costs, one, platform, cpu);
+  const ViewEvaluation e2 = evaluate_view_oracle(costs, two, platform, cpu);
   EXPECT_LE(e2.energy_j, e1.energy_j + 1e-9);
 }
 
@@ -64,12 +74,13 @@ TEST(EvaluateViewOracle, SwitchCostChargedPerLevelChange) {
   const clustering::PowerView two({{0, half}, {half, g.size()}}, g.size());
   const std::size_t cpu = platform.max_cpu_level();
 
+  const hw::CostTable costs = cost_plane(platform, g, cpu);
   const ViewEvaluation with_cost =
-      evaluate_view_oracle(g, two, platform, cpu);
+      evaluate_view_oracle(costs, two, platform, cpu);
   hw::Platform free = platform;
   free.dvfs = {0.0, 0.0};
   const ViewEvaluation without_cost =
-      evaluate_view_oracle(g, two, free, cpu);
+      evaluate_view_oracle(costs, two, free, cpu);
   EXPECT_GE(with_cost.time_s, without_cost.time_s);
 }
 
@@ -77,8 +88,9 @@ TEST(EvaluateViewOracle, MismatchedViewThrows) {
   const hw::Platform platform = hw::make_tx2();
   const dnn::Graph g = dnn::make_alexnet(1);
   const clustering::PowerView wrong({{0, 5}}, 5);
-  EXPECT_THROW(evaluate_view_oracle(g, wrong, platform, 0),
-               std::invalid_argument);
+  EXPECT_THROW(
+      evaluate_view_oracle(cost_plane(platform, g, 0), wrong, platform, 0),
+      std::invalid_argument);
 }
 
 TEST(BestHyperparamClass, ReturnsGridIndex) {
@@ -86,8 +98,11 @@ TEST(BestHyperparamClass, ReturnsGridIndex) {
   DatasetGenConfig cfg;
   cfg.cpu_level_for_labels = platform.max_cpu_level();
   const dnn::Graph g = dnn::make_googlenet(8);
-  const std::size_t cls = best_hyperparam_class(g, platform, cfg);
-  EXPECT_LT(cls, cfg.grid.size());
+  const GridSweep sweep = sweep_hyperparam_grid(
+      g, cost_plane(platform, g, cfg.cpu_level_for_labels), platform, cfg);
+  EXPECT_LT(sweep.best_class, cfg.grid.size());
+  EXPECT_EQ(sweep.view.num_layers(), g.size());
+  EXPECT_EQ(sweep.eval.block_levels.size(), sweep.view.block_count());
 }
 
 class GenerateDatasetsTest : public ::testing::Test {

@@ -14,10 +14,17 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
 #include <vector>
 
 namespace powerlens::core {
 namespace {
+
+// PowerLens keeps a pointer to its Platform: a temporary must not bind.
+static_assert(!std::is_constructible_v<PowerLens, hw::Platform&&>);
+static_assert(!std::is_constructible_v<PowerLens, const hw::Platform&&>);
+static_assert(std::is_constructible_v<PowerLens, const hw::Platform&>);
+static_assert(std::is_constructible_v<PowerLens, hw::Platform&>);
 
 PowerLensConfig test_config() {
   PowerLensConfig cfg;

@@ -6,10 +6,12 @@
 #include "features/depthwise.hpp"
 #include "features/global.hpp"
 #include "hw/analytic.hpp"
+#include "hw/cost_table.hpp"
 #include "hw/sim_engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 namespace powerlens {
@@ -24,6 +26,12 @@ struct ClusterCase {
   double eps;
   std::size_t min_pts;
 };
+
+// gtest appends the printed parameter to every ctest name; print the stable
+// fields, not the default raw bytes (which include the `model` pointer).
+void PrintTo(const ClusterCase& c, std::ostream* os) {
+  *os << c.model << " eps=" << c.eps << " minPts=" << c.min_pts;
+}
 
 class ClusteringPropertyTest : public ::testing::TestWithParam<ClusterCase> {};
 
@@ -70,6 +78,10 @@ struct ModelPlatformCase {
   const char* model;
   const char* platform;
 };
+
+void PrintTo(const ModelPlatformCase& c, std::ostream* os) {
+  *os << c.model << " " << c.platform;
+}
 
 class AnalyticPropertyTest
     : public ::testing::TestWithParam<ModelPlatformCase> {
@@ -166,9 +178,11 @@ TEST(FeasibilityGuard, NeverProducesUndersizedBlocks) {
     clustering::ClusteringConfig cfg;
     cfg.hyper = {0.07, 2};  // deliberately fine
     const clustering::PowerView raw = clustering::build_power_view(g, cfg);
-    const double min_s = core::feasible_block_duration(g, p);
+    const std::size_t cpu_levels[] = {p.max_cpu_level()};
+    const hw::CostTable costs(p, g.layers(), cpu_levels);
+    const double min_s = core::feasible_block_duration(costs, p);
     const clustering::PowerView fixed =
-        core::enforce_min_block_duration(g, raw, p, min_s);
+        core::enforce_min_block_duration(costs, raw, p, min_s);
 
     EXPECT_LE(fixed.block_count(), raw.block_count()) << spec.name;
     if (fixed.block_count() > 1) {
@@ -186,10 +200,11 @@ TEST(FeasibilityGuard, NeverProducesUndersizedBlocks) {
 TEST(FeasibilityGuard, SingleBlockAlwaysFeasible) {
   const hw::Platform p = hw::make_tx2();
   const dnn::Graph g = dnn::make_alexnet(1);  // tiny, fast pass
-  const clustering::PowerView one =
-      core::enforce_min_block_duration(g, clustering::PowerView({{0, g.size()}},
-                                                                g.size()),
-                                       p, 10.0 /* absurd floor */);
+  const std::size_t cpu_levels[] = {p.max_cpu_level()};
+  const clustering::PowerView one = core::enforce_min_block_duration(
+      hw::CostTable(p, g.layers(), cpu_levels),
+      clustering::PowerView({{0, g.size()}}, g.size()), p,
+      10.0 /* absurd floor */);
   EXPECT_EQ(one.block_count(), 1u);
 }
 
