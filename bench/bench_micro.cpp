@@ -6,6 +6,7 @@
 // `bench_micro --kernels-json=PATH` switches to a self-timing harness that
 // compares the blocked kernel layer against the straightforward loops it
 // replaced and writes a machine-readable report (see README.md).
+#include "baselines/ondemand.hpp"
 #include "clustering/cluster.hpp"
 #include "clustering/distance.hpp"
 #include "core/powerlens.hpp"
@@ -20,6 +21,8 @@
 #include "nn/trainer.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "serve/plan_cache.hpp"
+#include "serve/signature.hpp"
 #include "support/distance_oracles.hpp"
 
 #include <benchmark/benchmark.h>
@@ -30,8 +33,10 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <random>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -519,6 +524,82 @@ std::string plan_phases_record(core::PowerLens& framework,
   return record.str();
 }
 
+std::string warm_path_record(const core::PowerLens& framework,
+                             const hw::Platform& platform,
+                             const dnn::Graph& graph) {
+  // The warm request path on resnet152: what a plan lookup costs when the
+  // caller hashes the graph (graph_signature) against a hit keyed by the
+  // stored signature, and what the simulator costs per pass under the plan
+  // (preset GPU schedule plus the CPU ondemand governor, as the server runs
+  // it). CI gates the hash/hit ratio, which does not depend on the runner's
+  // absolute speed.
+  const std::uint64_t sig = serve::graph_signature(graph);
+  serve::PlanCache cache;
+  const core::OptimizationPlan plan = framework.optimize(graph);
+  cache.preload(sig, std::make_shared<const core::OptimizationPlan>(plan));
+  const serve::PlanCache::BatchPlanFactory no_compute =
+      [](std::span<const dnn::Graph* const>)
+      -> std::vector<core::OptimizationPlan> {
+    throw std::logic_error("warm_path: unexpected plan-cache miss");
+  };
+
+  constexpr int kHashIters = 200;
+  constexpr int kHitIters = 20000;
+  constexpr int kPasses = 20;
+  const auto time_hash = [&] {
+    return best_of_ms(
+               [&] {
+                 for (int i = 0; i < kHashIters; ++i) {
+                   benchmark::DoNotOptimize(serve::graph_signature(graph));
+                 }
+               },
+               5) *
+           1e3 / kHashIters;
+  };
+  const auto time_hit = [&] {
+    return best_of_ms(
+               [&] {
+                 for (int i = 0; i < kHitIters; ++i) {
+                   benchmark::DoNotOptimize(
+                       cache.get_or_compute(sig, graph, no_compute));
+                 }
+               },
+               5) *
+           1e3 / kHitIters;
+  };
+  hw::SimEngine engine(platform);
+  const auto time_sim = [&] {
+    return best_of_ms(
+               [&] {
+                 baselines::OndemandGovernor cpu_governor;
+                 hw::RunPolicy policy = engine.default_policy();
+                 policy.schedule = &plan.schedule;
+                 policy.governor = &cpu_governor;
+                 benchmark::DoNotOptimize(engine.run(graph, kPasses, policy));
+               },
+               5) *
+           1e3 / kPasses;
+  };
+  // Interleaved like plan_compute_record, keeping each side's minimum.
+  double hash_us = time_hash();
+  double hit_us = time_hit();
+  double sim_us = time_sim();
+  hash_us = std::min(hash_us, time_hash());
+  hit_us = std::min(hit_us, time_hit());
+  sim_us = std::min(sim_us, time_sim());
+  std::printf(
+      "warm path  signature %8.3f us  signature hit %8.3f us (%.1fx)  "
+      "sim %8.1f us/pass\n",
+      hash_us, hit_us, hash_us / hit_us, sim_us);
+  return obs::JsonWriter()
+      .field("graph", graph.name())
+      .field("signature_us", hash_us)
+      .field("signature_hit_us", hit_us)
+      .field("signature_over_hit", hash_us / hit_us)
+      .field("sim_us_per_pass", sim_us)
+      .str();
+}
+
 void append_record_array(std::string& out, std::string_view key,
                          const std::vector<std::string>& records) {
   out += "  \"";
@@ -552,6 +633,8 @@ int run_kernels_harness(const std::string& path) {
                                             dnn::make_vit_base_32(8)};
     out += ",\n  \"plan_compute\": " + plan_compute_record(framework, graphs);
     out += ",\n  \"plan_phases\": " + plan_phases_record(framework, graphs);
+    out += ",\n  \"warm_path\": " +
+           warm_path_record(framework, platform, graphs[0]);
     out += "\n}\n";
     std::ofstream file(path);
     if (!file) throw std::runtime_error("cannot open " + path);

@@ -105,19 +105,16 @@ ViewEvaluation evaluate_view_oracle(const hw::CostTable& costs,
     //    fine-grained views lose on short passes, where a requested
     //    frequency never takes effect before the next preset point.
     if (level != prev_level) {
-      const double stall_power = power.total_w(
-          platform.gpu_freq(prev_level), platform.cpu_freq(cpu_level),
-          hw::ActivityState{0.0, 0.0, 0.2});
+      const double stall_power = power.total_w_at(
+          prev_level, cpu_level, hw::ActivityState{0.0, 0.0, 0.2});
       ev.time_s += platform.dvfs.stall_s;
       ev.energy_j += stall_power * platform.dvfs.stall_s;
 
       const double act = 0.7;  // representative block activity
-      const double p_prev = power.total_w(platform.gpu_freq(prev_level),
-                                          platform.cpu_freq(cpu_level),
-                                          hw::ActivityState{act, act, 0.2});
-      const double p_target = power.total_w(platform.gpu_freq(level),
-                                            platform.cpu_freq(cpu_level),
-                                            hw::ActivityState{act, act, 0.2});
+      const double p_prev = power.total_w_at(
+          prev_level, cpu_level, hw::ActivityState{act, act, 0.2});
+      const double p_target = power.total_w_at(
+          level, cpu_level, hw::ActivityState{act, act, 0.2});
       const double settle =
           std::min(platform.dvfs.latency_s, cost.time_s);
       ev.energy_j += std::abs(p_prev - p_target) * settle;

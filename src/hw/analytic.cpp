@@ -19,7 +19,7 @@ BlockCost analytic_block_cost(const Platform& platform,
     const LayerTiming t = latency.time_layer(l, gpu_f, cpu_f);
     const ActivityState act{t.gpu_activity, t.mem_activity, cpu_load};
     cost.time_s += t.total_s;
-    cost.energy_j += power.total_w(gpu_f, cpu_f, act) * t.total_s;
+    cost.energy_j += power.total_w_at(gpu_level, cpu_level, act) * t.total_s;
   }
   return cost;
 }
@@ -47,7 +47,7 @@ BlockCost schedule_cost(const Platform& platform,
     const LayerTiming t = latency.time_layer(l, gpu_f, cpu_f);
     const ActivityState act{t.gpu_activity, t.mem_activity, cpu_load};
     cost.time_s += t.total_s;
-    cost.energy_j += power.total_w(gpu_f, cpu_f, act) * t.total_s;
+    cost.energy_j += power.total_w_at(gpu_level, cpu_level, act) * t.total_s;
   }
   return cost;
 }

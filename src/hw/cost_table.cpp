@@ -81,8 +81,9 @@ void CostTable::init(const Platform& platform, const CostFeatures& features,
   energy_prefix_.assign(gpu_levels_ * cpu_slots_ * run, 0.0);
 
   // Layer-major fill: all level-dependent scalars are hoisted out of the
-  // per-layer loop — the gpu voltage pow pair per gpu level, the cpu
-  // voltage pow per cpu level, the occupancy pow per layer (inside
+  // per-layer loop — the gpu voltage per gpu level and the cpu power per
+  // cpu level (both read from PowerModel's per-level voltage tables, so no
+  // pow at all), the occupancy pow per layer (inside
   // features.eff, extracted once per graph). The per-plane pass then runs
   // pure per-layer arithmetic through the kernel dispatch seam
   // (cost_plane_fill), and the serial prefix accumulation below adds the
@@ -97,7 +98,7 @@ void CostTable::init(const Platform& platform, const CostFeatures& features,
 
   for (std::size_t g = 0; g < gpu_levels_; ++g) {
     const double gpu_f = platform.gpu_freq(g);
-    const double v = power.gpu_voltage(gpu_f);
+    const double v = power.gpu_voltage_at(g);
     linalg::kernels::CostPlaneTerms terms;
     // Same association as LatencyModel::peak_flops and
     // PowerModel::gpu_dynamic_w/gpu_static_w: the hoisted products are the
@@ -114,7 +115,7 @@ void CostTable::init(const Platform& platform, const CostFeatures& features,
       const double cpu_f = platform.cpu_freq(c);
       terms.launch_s =
           cpu.launch_overhead_s * (cpu.freqs_hz.back() / cpu_f);
-      terms.cpu_w = power.cpu_power_w(cpu_f, cpu_load);
+      terms.cpu_w = power.cpu_power_w_at(c, cpu_load);
       linalg::kernels::cost_plane_fill(
           num_layers_, features.flops.data(), features.eff.data(),
           features.memory_s.data(), features.active.data(), terms,

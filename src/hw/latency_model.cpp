@@ -82,10 +82,16 @@ double LatencyModel::knee_frequency(const dnn::Layer& layer) const noexcept {
 LayerTiming LatencyModel::time_layer(const dnn::Layer& layer,
                                      double gpu_freq_hz,
                                      double cpu_freq_hz) const {
+  return time_layer(layer, compute_efficiency(layer), gpu_freq_hz,
+                    cpu_freq_hz);
+}
+
+LayerTiming LatencyModel::time_layer(const dnn::Layer& layer, double eff,
+                                     double gpu_freq_hz,
+                                     double cpu_freq_hz) const {
   LayerTiming t;
   if (layer.type == dnn::OpType::kInput) return t;
 
-  const double eff = compute_efficiency(layer);
   t.compute_s = layer.flops > 0
                     ? static_cast<double>(layer.flops) /
                           (eff * peak_flops(gpu_freq_hz))

@@ -45,6 +45,10 @@ class LatencyModel {
 
   LayerTiming time_layer(const dnn::Layer& layer, double gpu_freq_hz,
                          double cpu_freq_hz) const;
+  // The same timing with `eff` = compute_efficiency(layer) supplied by a
+  // caller that times one layer many times (the simulator's slices).
+  LayerTiming time_layer(const dnn::Layer& layer, double eff,
+                         double gpu_freq_hz, double cpu_freq_hz) const;
 
   // Peak arithmetic throughput at a frequency, FLOPs/s.
   double peak_flops(double gpu_freq_hz) const noexcept;

@@ -16,6 +16,56 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // Guard against zero-length slices looping forever on FP round-off.
 constexpr double kMinSlice = 1e-12;
 
+// Run accounting handles, each resolved once (function-local statics, as in
+// serve/plan_cache.cpp) on the first run that records it: a process that
+// never simulates a faulty run exports no fault counters.
+void record_run_metrics(const ExecutionResult& r) {
+  obs::MetricsRegistry& m = obs::global_metrics();
+  static obs::Counter& runs =
+      m.counter("powerlens_sim_runs_total", "simulator runs");
+  static obs::Counter& images =
+      m.counter("powerlens_sim_images_total", "images inferred in simulation");
+  static obs::Counter& energy_j = m.counter(
+      "powerlens_sim_energy_joules_total", "simulated energy consumed");
+  static obs::Counter& time_s =
+      m.counter("powerlens_sim_time_seconds_total", "simulated time elapsed");
+  static obs::Counter& transitions = m.counter(
+      "powerlens_sim_dvfs_transitions_total", "GPU DVFS transitions applied");
+  static obs::Counter& stall_s =
+      m.counter("powerlens_sim_dvfs_stall_seconds_total",
+                "host stall paid on DVFS transitions");
+  runs.inc();
+  images.inc(static_cast<double>(r.images));
+  energy_j.inc(r.energy_j);
+  time_s.inc(r.time_s);
+  transitions.inc(static_cast<double>(r.dvfs_transitions));
+  stall_s.inc(r.dvfs_stall_s);
+}
+
+void record_fault_metrics(const ExecutionResult& r) {
+  obs::MetricsRegistry& m = obs::global_metrics();
+  static obs::Counter& dvfs_failed =
+      m.counter("powerlens_fault_dvfs_failed_total",
+                "GPU DVFS transition requests that failed to actuate");
+  static obs::Counter& thermal_events =
+      m.counter("powerlens_fault_thermal_events_total",
+                "thermal throttle windows entered");
+  static obs::Counter& telemetry_dropped =
+      m.counter("powerlens_fault_telemetry_dropped_total",
+                "telemetry samples dropped from the stream");
+  static obs::Counter& latency_inflated =
+      m.counter("powerlens_fault_latency_inflated_total",
+                "layers hit by transient latency inflation");
+  static obs::Counter& throttled_s =
+      m.counter("powerlens_fault_thermal_throttled_seconds_total",
+                "simulated time spent thermally capped");
+  dvfs_failed.inc(static_cast<double>(r.faults.dvfs_failed));
+  thermal_events.inc(static_cast<double>(r.faults.thermal_events));
+  telemetry_dropped.inc(static_cast<double>(r.faults.telemetry_dropped));
+  latency_inflated.inc(static_cast<double>(r.faults.latency_inflated));
+  throttled_s.inc(r.thermal_throttled_s);
+}
+
 // Virtual-track layout of one simulator run in the trace. Each run claims a
 // fresh pid, and each tid's timestamps are non-decreasing by construction
 // (simulated time only moves forward within a run).
@@ -70,6 +120,10 @@ struct SimEngine::State {
   double thermal_until = -kInf;
   double throttled_s = 0.0;  // time with effective level below requested
 
+  // compute_efficiency of each layer of the graph execute_graph is running,
+  // refilled per call; the capacity is reused across a run's work items.
+  std::vector<double> layer_eff;
+
   std::vector<FreqTracePoint> trace;
   Telemetry telemetry{0.05};
 };
@@ -110,9 +164,7 @@ void SimEngine::advance(State& st, double dt, const ActivityState& activity,
   if (dt <= 0.0) return;
   const std::size_t gpu_eff = effective_gpu_level(st);
   if (gpu_eff < st.gpu_level) st.throttled_s += dt;
-  const double gpu_f = platform_->gpu_freq(gpu_eff);
-  const double cpu_f = platform_->cpu_freq(st.cpu_level);
-  const double p = power_.total_w(gpu_f, cpu_f, activity);
+  const double p = power_.total_w_at(gpu_eff, st.cpu_level, activity);
   st.energy += p * dt;
   st.telemetry.record_slice(st.time, dt, p);
   st.win_gpu_util += gpu_busy * dt;
@@ -251,6 +303,13 @@ void SimEngine::governor_sample(State& st, const RunPolicy& policy) {
 void SimEngine::execute_graph(const dnn::Graph& graph, int passes,
                               const RunPolicy& policy, State& st) {
   if (passes <= 0) throw std::invalid_argument("SimEngine: passes <= 0");
+  // A layer's compute efficiency (its occupancy std::pow) does not depend
+  // on the levels, so it is taken once per call, not once per slice of
+  // every pass.
+  st.layer_eff.resize(graph.size());
+  for (std::size_t i = 0; i < graph.size(); ++i) {
+    st.layer_eff[i] = LatencyModel::compute_efficiency(graph.layer(i));
+  }
 
   for (int pass = 0; pass < passes; ++pass) {
     if (st.tw != nullptr) {
@@ -290,7 +349,8 @@ void SimEngine::execute_graph(const dnn::Graph& graph, int passes,
         apply_pending(st);
         refresh_thermal(st);
         const LayerTiming t = latency_.time_layer(
-            layer, platform_->gpu_freq(effective_gpu_level(st)),
+            layer, st.layer_eff[i],
+            platform_->gpu_freq(effective_gpu_level(st)),
             platform_->cpu_freq(st.cpu_level));
         if (t.total_s <= 0.0) break;
         const double total_s = t.total_s * lat_factor;
@@ -469,50 +529,10 @@ ExecutionResult SimEngine::run_workload(std::span<const WorkItem> items,
                          st.telemetry.samples().end());
   r.item_marks = std::move(item_marks);
 
-  // Aggregate run accounting in the global registry — one registry lookup
-  // per run, nothing on the simulation hot path.
-  obs::MetricsRegistry& metrics = obs::global_metrics();
-  metrics.counter("powerlens_sim_runs_total", "simulator runs").inc();
-  metrics
-      .counter("powerlens_sim_images_total", "images inferred in simulation")
-      .inc(static_cast<double>(r.images));
-  metrics
-      .counter("powerlens_sim_energy_joules_total",
-               "simulated energy consumed")
-      .inc(r.energy_j);
-  metrics
-      .counter("powerlens_sim_time_seconds_total", "simulated time elapsed")
-      .inc(r.time_s);
-  metrics
-      .counter("powerlens_sim_dvfs_transitions_total",
-               "GPU DVFS transitions applied")
-      .inc(static_cast<double>(r.dvfs_transitions));
-  metrics
-      .counter("powerlens_sim_dvfs_stall_seconds_total",
-               "host stall paid on DVFS transitions")
-      .inc(r.dvfs_stall_s);
-  if (policy.faults != nullptr) {
-    metrics
-        .counter("powerlens_fault_dvfs_failed_total",
-                 "GPU DVFS transition requests that failed to actuate")
-        .inc(static_cast<double>(r.faults.dvfs_failed));
-    metrics
-        .counter("powerlens_fault_thermal_events_total",
-                 "thermal throttle windows entered")
-        .inc(static_cast<double>(r.faults.thermal_events));
-    metrics
-        .counter("powerlens_fault_telemetry_dropped_total",
-                 "telemetry samples dropped from the stream")
-        .inc(static_cast<double>(r.faults.telemetry_dropped));
-    metrics
-        .counter("powerlens_fault_latency_inflated_total",
-                 "layers hit by transient latency inflation")
-        .inc(static_cast<double>(r.faults.latency_inflated));
-    metrics
-        .counter("powerlens_fault_thermal_throttled_seconds_total",
-                 "simulated time spent thermally capped")
-        .inc(r.thermal_throttled_s);
-  }
+  // Aggregate run accounting in the global registry — handles resolved on
+  // first use, nothing on the simulation hot path.
+  record_run_metrics(r);
+  if (policy.faults != nullptr) record_fault_metrics(r);
   return r;
 }
 

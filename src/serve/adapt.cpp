@@ -233,7 +233,7 @@ void AdaptController::on_epoch_boundary(const EpochContext& ctx) {
       // deployed with, captured once — composing against an already
       // corrected plan would square the scale factors.
       if (!base_plans_[m].has_value()) {
-        if (PlanCache::PlanPtr cached = ctx.cache->lookup(models_[m].graph)) {
+        if (PlanCache::PlanPtr cached = ctx.cache->lookup(model_sigs_[m])) {
           base_plans_[m] = *cached;
         } else {
           base_plans_[m] = active_->optimize(models_[m].graph);

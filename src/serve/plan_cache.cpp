@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <chrono>
 #include <stdexcept>
 #include <utility>
@@ -138,9 +139,9 @@ void PlanCache::drain_pending(Shard& shard, std::unique_lock<std::mutex>& lock,
   }
 }
 
-PlanCache::PlanPtr PlanCache::get_or_compute(const dnn::Graph& graph,
+PlanCache::PlanPtr PlanCache::get_or_compute(std::uint64_t sig,
+                                             const dnn::Graph& graph,
                                              const BatchPlanFactory& factory) {
-  const std::uint64_t sig = graph_signature(graph);
   Shard& shard = shard_for(sig);
   std::unique_lock<std::mutex> lock(shard.mu);
   const auto it = shard.plans.find(sig);
@@ -152,6 +153,9 @@ PlanCache::PlanPtr PlanCache::get_or_compute(const dnn::Graph& graph,
     return it->second.plan;
   }
 
+  // A miss computes from `graph`, so a wrong signature would file its plan
+  // under another model's key.
+  assert(sig == graph_signature(graph));
   // Join an in-flight computation if one exists; otherwise register one.
   // `graph` must stay valid until the entry resolves — guaranteed because
   // this thread blocks (waiting or leading) until then.
@@ -196,7 +200,8 @@ PlanCache::PlanPtr PlanCache::get_or_compute(const dnn::Graph& graph,
 PlanCache::PlanPtr PlanCache::get_or_compute(const dnn::Graph& graph,
                                              const PlanFactory& factory) {
   return get_or_compute(
-      graph, [&factory](std::span<const dnn::Graph* const> graphs) {
+      graph_signature(graph), graph,
+      [&factory](std::span<const dnn::Graph* const> graphs) {
         std::vector<core::OptimizationPlan> plans;
         plans.reserve(graphs.size());
         for (const dnn::Graph* g : graphs) plans.push_back(factory(*g));
@@ -263,8 +268,7 @@ std::vector<std::pair<std::uint64_t, PlanCache::PlanPtr>> PlanCache::snapshot()
   return out;
 }
 
-PlanCache::PlanPtr PlanCache::lookup(const dnn::Graph& graph) const {
-  const std::uint64_t sig = graph_signature(graph);
+PlanCache::PlanPtr PlanCache::lookup(std::uint64_t sig) const {
   Shard& shard = shard_for(sig);
   const std::lock_guard<std::mutex> lock(shard.mu);
   const auto it = shard.plans.find(sig);

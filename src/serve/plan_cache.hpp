@@ -8,6 +8,15 @@
 // the graph for a trained framework, so a hit is byte-identical to a fresh
 // plan — test-asserted, not assumed.
 //
+// The API is keyed by the signature itself: get_or_compute(sig, graph,
+// factory) and lookup(sig). A caller that serves a fixed model set (the
+// Server, the adaptation controller) hashes each graph once and passes the
+// stored signature, so a warm hit costs one map probe under the shard lock
+// and never walks the graph. The graph rides along only for the factory on
+// a miss; debug builds assert that it hashes to `sig` there. One graph-keyed
+// adapter remains, get_or_compute(graph, PlanFactory), which hashes and
+// forwards — for callers that hold a graph and no signature.
+//
 // Miss protocol (PR 6 — previously misses computed *under the shard lock*,
 // serializing every concurrent miss AND every hit behind the slowest
 // compute in the shard):
@@ -84,21 +93,24 @@ class PlanCache {
   // the slices sum to exactly `capacity`.
   explicit PlanCache(std::size_t num_shards = 8, std::size_t capacity = 0);
 
-  // The plan for `graph`'s signature, computing it (batched with any other
-  // misses pending on the shard) on first use and refreshing LRU recency on
-  // reuse. Thread-safe; each distinct signature is computed exactly once
-  // while it stays resident, and computation never holds the shard lock.
-  PlanPtr get_or_compute(const dnn::Graph& graph,
+  // The plan cached under `signature`, computing it from `graph` (batched
+  // with any other misses pending on the shard) on first use and refreshing
+  // LRU recency on reuse. `signature` must be graph_signature(graph)
+  // (asserted on a miss in debug builds). Thread-safe; each distinct
+  // signature is computed exactly once while it stays resident, and
+  // computation never holds the shard lock.
+  PlanPtr get_or_compute(std::uint64_t signature, const dnn::Graph& graph,
                          const BatchPlanFactory& factory);
 
-  // Single-graph factory adapter: wraps `factory` into a batch factory that
-  // loops. Keeps the lock-free-compute and coalescing protocol; only the
-  // cross-miss batching advantage is lost.
+  // Graph-keyed, single-graph adapter: hashes `graph` and forwards with a
+  // batch factory that loops over `factory`. Keeps the lock-free-compute
+  // and coalescing protocol; only the cross-miss batching advantage is lost.
   PlanPtr get_or_compute(const dnn::Graph& graph, const PlanFactory& factory);
 
-  // Read-only probe: the cached plan if present, nullptr otherwise. Counts
-  // only probe_hits (never hits/misses) and does not refresh recency.
-  PlanPtr lookup(const dnn::Graph& graph) const;
+  // Read-only probe: the plan cached under `signature` if present, nullptr
+  // otherwise. Counts only probe_hits (never hits/misses) and does not
+  // refresh recency.
+  PlanPtr lookup(std::uint64_t signature) const;
 
   // Snapshot warm start (src/io plan snapshots): installs a plan under a
   // precomputed signature without touching the hit/miss counters — a

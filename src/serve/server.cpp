@@ -163,7 +163,7 @@ const core::PowerLens* Server::active_framework() const {
   return adapt_ != nullptr ? &adapt_->framework() : framework_;
 }
 
-PlanCache::PlanPtr Server::plan_for(const dnn::Graph& graph,
+PlanCache::PlanPtr Server::plan_for(std::size_t model_index,
                                     linalg::Workspace& ws) {
   const core::PowerLens* const framework = active_framework();
   if (framework == nullptr || !framework->trained()) {
@@ -178,8 +178,9 @@ PlanCache::PlanPtr Server::plan_for(const dnn::Graph& graph,
                         &ws](std::span<const dnn::Graph* const> graphs) {
     return framework->optimize_batch(graphs, &ws);
   };
+  const dnn::Graph& graph = models_[model_index].graph;
   if (config_.use_plan_cache) {
-    return cache_.get_or_compute(graph, factory);
+    return cache_.get_or_compute(model_sigs_[model_index], graph, factory);
   }
   const dnn::Graph* const one[] = {&graph};
   return std::make_shared<const core::OptimizationPlan>(
@@ -230,7 +231,7 @@ std::vector<Server::ServiceResult> Server::simulate_parallel(
         const DeployedModel& model = models_[task.model_index];
         PlanCache::PlanPtr plan;  // keeps the schedule alive through run()
         if (config_.policy == ServePolicy::kPowerLens) {
-          plan = plan_for(model.graph, ws);
+          plan = plan_for(task.model_index, ws);
         }
         ServiceResult out;
         if (plan != nullptr) {
@@ -918,8 +919,8 @@ ServeReport Server::serve(std::span<const Task> tasks) {
   std::vector<bool> plan_resident_before;
   if (config_.policy == ServePolicy::kPowerLens && config_.use_plan_cache) {
     plan_resident_before.reserve(models_.size());
-    for (const DeployedModel& m : models_) {
-      plan_resident_before.push_back(cache_.lookup(m.graph) != nullptr);
+    for (const std::uint64_t sig : model_sigs_) {
+      plan_resident_before.push_back(cache_.lookup(sig) != nullptr);
     }
   }
   marks_.clear();

@@ -339,10 +339,12 @@ class Server {
     double predicted_pass_energy_j = 0.0;
   };
 
-  // `ws` is the calling worker's private workspace: plan-cache misses run
-  // the whole optimize() pipeline on leased scratch, so steady-state misses
-  // do no heap traffic in the matrix hot loops.
-  PlanCache::PlanPtr plan_for(const dnn::Graph& graph, linalg::Workspace& ws);
+  // The plan for deployed model `model_index`, keyed by its stored
+  // signature (no hash on the request path). `ws` is the calling worker's
+  // private workspace: plan-cache misses run the whole optimize() pipeline
+  // on leased scratch, so steady-state misses do no heap traffic in the
+  // matrix hot loops.
+  PlanCache::PlanPtr plan_for(std::size_t model_index, linalg::Workspace& ws);
   // Independent per-request simulation, fanned out over worker threads.
   std::vector<ServiceResult> simulate_parallel(std::span<const Task> tasks);
   // One continuous run_workload, split into per-request results by marks.
@@ -375,9 +377,10 @@ class Server {
   // Fault totals of the last reactive run (marks differencing cannot
   // attribute them per item); zero for plan policies.
   hw::FaultCounters reactive_faults_;
-  // Per-model graph signatures (journal records + residual keys) and the
-  // analytic MAXN per-pass cost each model would incur at pinned maximum
-  // levels (the predicted cost of MAXN and fallback executions).
+  // Per-model graph signatures, hashed once at construction (plan-cache
+  // keys, journal records, residual keys), and the analytic MAXN per-pass
+  // cost each model would incur at pinned maximum levels (the predicted
+  // cost of MAXN and fallback executions).
   std::vector<std::uint64_t> model_sigs_;
   std::vector<hw::BlockCost> maxn_costs_;
   // Journal run id of the serve() in flight (claimed per call, so records

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace powerlens::hw {
 namespace {
 
@@ -98,6 +100,43 @@ TEST(PowerModelTx2, MaxPowerBelowAgx) {
                                                agx.cpu.freqs_hz.back(), full);
   EXPECT_LT(p_tx2, p_agx);
   EXPECT_LT(p_tx2, 20.0);  // TX2 board envelope
+}
+
+// The level-indexed form every src/ caller uses is the frequency form at
+// the ladder frequency, bit for bit, for every level pair on both boards and
+// over an activity grid that includes the clamp edges (<0, 0, 1, >1).
+TEST(PowerModelTables, TotalAtEqualsTotalBitwiseOnEveryLevelPair) {
+  const double grid[] = {-0.5, 0.0, 0.05, 0.2, 0.37,
+                         0.5,  0.7, 0.93, 1.0, 1.5};
+  for (const Platform& platform : {make_tx2(), make_agx()}) {
+    const PowerModel model(platform);
+    for (std::size_t g = 0; g < platform.gpu_levels(); ++g) {
+      const double gpu_f = platform.gpu_freq(g);
+      EXPECT_EQ(model.gpu_voltage_at(g), model.gpu_voltage(gpu_f));
+      for (std::size_t c = 0; c < platform.cpu_levels(); ++c) {
+        const double cpu_f = platform.cpu_freq(c);
+        for (const double a : grid) {
+          EXPECT_EQ(model.cpu_power_w_at(c, a), model.cpu_power_w(cpu_f, a));
+          for (const ActivityState act :
+               {ActivityState{a, a, a}, ActivityState{a, 1.0 - a, 0.2},
+                ActivityState{0.0, 0.0, a}}) {
+            EXPECT_EQ(model.total_w_at(g, c, act),
+                      model.total_w(gpu_f, cpu_f, act))
+                << platform.name << " g=" << g << " c=" << c << " a=" << a;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PowerModelTables, LevelOutsideTheLadderThrows) {
+  const Platform tx2 = make_tx2();
+  const PowerModel model(tx2);
+  const ActivityState act{0.5, 0.5, 0.5};
+  EXPECT_THROW(model.total_w_at(tx2.gpu_levels(), 0, act), std::out_of_range);
+  EXPECT_THROW(model.total_w_at(0, tx2.cpu_levels(), act), std::out_of_range);
+  EXPECT_THROW(model.cpu_power_w_at(tx2.cpu_levels(), 0.5), std::out_of_range);
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "obs/journal.hpp"
 #include "obs/residuals.hpp"
 #include "serve/server.hpp"
+#include "serve/signature.hpp"
 #include "support/json_parser.hpp"
 
 #include <gtest/gtest.h>
@@ -306,7 +307,9 @@ TEST_F(AdaptServeTest, ColdModelsKeepTheirPlansUntouched) {
 
   const AdaptController* adapt = server.adapt_controller();
   ASSERT_GT(adapt->replans(), 0u);
-  EXPECT_EQ(server.plan_cache().lookup((*models_)[2].graph), nullptr);
+  EXPECT_EQ(
+      server.plan_cache().lookup(graph_signature((*models_)[2].graph)),
+      nullptr);
 
   std::istringstream is(journal.jsonl());
   std::string line;
@@ -332,7 +335,8 @@ TEST_F(AdaptServeTest, ThermalPressureCapsReplannedLevels) {
   const std::size_t cap = platform_->max_gpu_level() - 3;
   std::size_t checked = 0;
   for (const DeployedModel& m : *models_) {
-    const PlanCache::PlanPtr plan = server.plan_cache().lookup(m.graph);
+    const PlanCache::PlanPtr plan =
+        server.plan_cache().lookup(graph_signature(m.graph));
     if (plan == nullptr) continue;
     const core::OptimizationPlan fresh = framework_->optimize(m.graph);
     if (*plan == fresh) continue;  // never re-planned

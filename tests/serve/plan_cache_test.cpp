@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -80,7 +81,7 @@ TEST(PlanCacheTest, MissThenHitReturnsSamePlan) {
 TEST(PlanCacheTest, LookupCountsProbesNotServingPathHits) {
   PlanCache cache;
   const dnn::Graph g = dnn::make_alexnet(4);
-  EXPECT_EQ(cache.lookup(g), nullptr);
+  EXPECT_EQ(cache.lookup(graph_signature(g)), nullptr);
   EXPECT_EQ(cache.misses(), 0u);
   EXPECT_EQ(cache.hits(), 0u);
   EXPECT_EQ(cache.probe_hits(), 0u);  // a probe miss counts nothing
@@ -88,8 +89,8 @@ TEST(PlanCacheTest, LookupCountsProbesNotServingPathHits) {
   cache.get_or_compute(g, [](const dnn::Graph&) {
     return core::OptimizationPlan{};
   });
-  EXPECT_NE(cache.lookup(g), nullptr);
-  EXPECT_NE(cache.lookup(g), nullptr);
+  EXPECT_NE(cache.lookup(graph_signature(g)), nullptr);
+  EXPECT_NE(cache.lookup(graph_signature(g)), nullptr);
   EXPECT_EQ(cache.probe_hits(), 2u);
   EXPECT_EQ(cache.hits(), 0u);  // probes no longer leak into serving hits
   EXPECT_EQ(cache.misses(), 1u);
@@ -131,9 +132,10 @@ TEST(PlanCacheTest, BoundedCacheEvictsLeastRecentlyUsed) {
   cache.get_or_compute(c, factory);  // evicts b, the LRU entry
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.lookup(b), nullptr);   // the victim
-  EXPECT_NE(cache.lookup(a), nullptr);   // survived via the hit refresh
-  EXPECT_NE(cache.lookup(c), nullptr);
+  EXPECT_EQ(cache.lookup(graph_signature(b)), nullptr);  // the victim
+  // a survived via the hit refresh.
+  EXPECT_NE(cache.lookup(graph_signature(a)), nullptr);
+  EXPECT_NE(cache.lookup(graph_signature(c)), nullptr);
 
   // An evicted signature recomputes on next use.
   EXPECT_EQ(calls.load(), 3);
@@ -153,11 +155,11 @@ TEST(PlanCacheTest, ProbeDoesNotRefreshRecency) {
 
   cache.get_or_compute(a, factory);
   cache.get_or_compute(b, factory);  // MRU order: b, a
-  EXPECT_NE(cache.lookup(a), nullptr);  // read-only probe
+  EXPECT_NE(cache.lookup(graph_signature(a)), nullptr);  // read-only probe
   cache.get_or_compute(c, factory);
   // The probe must not have kept `a` alive — it was still the LRU entry.
-  EXPECT_EQ(cache.lookup(a), nullptr);
-  EXPECT_NE(cache.lookup(b), nullptr);
+  EXPECT_EQ(cache.lookup(graph_signature(a)), nullptr);
+  EXPECT_NE(cache.lookup(graph_signature(b)), nullptr);
 }
 
 TEST(PlanCacheTest, ZeroCapacityMeansUnbounded) {
@@ -259,8 +261,8 @@ TEST(PlanCacheTest, InvalidateDropsOnlyTheTargetSignature) {
   cache.get_or_compute(b, factory);
 
   EXPECT_TRUE(cache.invalidate(graph_signature(a)));
-  EXPECT_EQ(cache.lookup(a), nullptr);
-  EXPECT_NE(cache.lookup(b), nullptr);  // untouched neighbour
+  EXPECT_EQ(cache.lookup(graph_signature(a)), nullptr);
+  EXPECT_NE(cache.lookup(graph_signature(b)), nullptr);  // untouched
   EXPECT_FALSE(cache.invalidate(graph_signature(a)));  // already gone
   EXPECT_EQ(cache.resident(), 1u);
 
@@ -284,7 +286,8 @@ TEST(PlanCacheTest, InstallReplacesResidentPlanInPlace) {
 
   auto replan = std::make_shared<const core::OptimizationPlan>();
   EXPECT_TRUE(cache.install(graph_signature(g), replan));
-  EXPECT_EQ(cache.lookup(g).get(), replan.get());  // swapped, not duplicated
+  // Swapped, not duplicated.
+  EXPECT_EQ(cache.lookup(graph_signature(g)).get(), replan.get());
   EXPECT_EQ(cache.resident(), 1u);
 
   // Install on a vacant signature inserts under the capacity bound.
@@ -448,12 +451,15 @@ TEST(PlanCacheTest, ConcurrentMissesCoalesceIntoOneBatchCall) {
         return std::vector<core::OptimizationPlan>(graphs.size());
       };
 
-  std::thread leader([&] { cache.get_or_compute(a, factory); });
+  const auto get = [&](const dnn::Graph& g) {
+    cache.get_or_compute(graph_signature(g), g, factory);
+  };
+  std::thread leader([&] { get(a); });
   entered.wait();  // the leader is parked inside compute([a])
   std::vector<std::thread> stragglers;
-  stragglers.emplace_back([&] { cache.get_or_compute(b, factory); });
-  stragglers.emplace_back([&] { cache.get_or_compute(c, factory); });
-  stragglers.emplace_back([&] { cache.get_or_compute(a, factory); });
+  stragglers.emplace_back([&] { get(b); });
+  stragglers.emplace_back([&] { get(c); });
+  stragglers.emplace_back([&] { get(a); });
   // Give the stragglers time to register with the shard; if one loses the
   // race it simply leads its own batch, which the assertions below allow
   // for via the counters (they are interleaving-independent).
@@ -498,7 +504,8 @@ TEST(PlanCacheTest, BatchFactoryWrongPlanCountThrows) {
       [](std::span<const dnn::Graph* const>) {
         return std::vector<core::OptimizationPlan>{};  // nothing for anyone
       };
-  EXPECT_THROW(cache.get_or_compute(g, broken), std::logic_error);
+  EXPECT_THROW(cache.get_or_compute(graph_signature(g), g, broken),
+               std::logic_error);
   EXPECT_EQ(cache.size(), 0u);
 }
 
@@ -530,6 +537,96 @@ TEST(PlanCacheTest, CountersSurfaceInPrometheusExport) {
             std::string::npos);
   EXPECT_NE(text.find("powerlens_serve_plan_cache_misses_total"),
             std::string::npos);
+}
+
+// The signature API and the graph-keyed adapter file plans under the same
+// key: whichever resolves first computes, the other hits the same object.
+TEST(PlanCacheTest, SignatureHitReturnsSamePlanAsGraphAdapter) {
+  PlanCache cache;
+  const dnn::Graph g = dnn::make_alexnet(4);
+  int calls = 0;
+  const PlanCache::PlanPtr via_graph =
+      cache.get_or_compute(g, [&](const dnn::Graph&) {
+        ++calls;
+        return core::OptimizationPlan{};
+      });
+  const PlanCache::BatchPlanFactory batch =
+      [&](std::span<const dnn::Graph* const> graphs) {
+        calls += static_cast<int>(graphs.size());
+        return std::vector<core::OptimizationPlan>(graphs.size());
+      };
+  const PlanCache::PlanPtr via_sig =
+      cache.get_or_compute(graph_signature(g), g, batch);
+  EXPECT_EQ(via_sig.get(), via_graph.get());
+  EXPECT_EQ(cache.lookup(graph_signature(g)).get(), via_graph.get());
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.hits(), 1u);
+}
+
+TEST(PlanCacheTest, EachSignatureComputedOnceUnderConcurrencyOnSignatureApi) {
+  PlanCache cache(/*num_shards=*/2);
+  std::vector<dnn::Graph> graphs;
+  for (const std::int64_t batch : {1, 2, 4, 8, 16}) {
+    graphs.push_back(dnn::make_alexnet(batch));
+  }
+  std::vector<std::uint64_t> sigs;
+  for (const dnn::Graph& g : graphs) sigs.push_back(graph_signature(g));
+
+  std::mutex mu;
+  std::vector<std::uint64_t> computed;
+  const PlanCache::BatchPlanFactory factory =
+      [&](std::span<const dnn::Graph* const> batch) {
+        const std::lock_guard<std::mutex> lock(mu);
+        for (const dnn::Graph* g : batch) {
+          computed.push_back(graph_signature(*g));
+        }
+        return std::vector<core::OptimizationPlan>(batch.size());
+      };
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 50;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        for (std::size_t i = 0; i < graphs.size(); ++i) {
+          // Each thread walks the models from a different offset, so the
+          // first requests for every signature genuinely race.
+          const std::size_t k = (i + static_cast<std::size_t>(t)) %
+                                graphs.size();
+          EXPECT_NE(cache.get_or_compute(sigs[k], graphs[k], factory),
+                    nullptr);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  std::sort(computed.begin(), computed.end());
+  std::vector<std::uint64_t> expected = sigs;
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(computed, expected);  // every signature exactly once
+  EXPECT_EQ(cache.misses(), graphs.size());
+  EXPECT_EQ(cache.hits(),
+            static_cast<std::uint64_t>(kThreads * kRounds) * graphs.size() -
+                graphs.size());
+}
+
+// A signature that is not the graph's would file the graph's plan under
+// another model's key. Debug builds assert on the miss; release builds
+// (NDEBUG) trust the caller, which EXPECT_DEBUG_DEATH checks runs through.
+TEST(PlanCacheDeathTest, MismatchedSignatureAssertsInDebugBuilds) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  PlanCache cache;
+  const dnn::Graph g = dnn::make_alexnet(4);
+  const std::uint64_t wrong = graph_signature(g) + 1;
+  const PlanCache::BatchPlanFactory factory =
+      [](std::span<const dnn::Graph* const> graphs) {
+        return std::vector<core::OptimizationPlan>(graphs.size());
+      };
+  EXPECT_DEBUG_DEATH(cache.get_or_compute(wrong, g, factory),
+                     "graph_signature");
 }
 
 }  // namespace
