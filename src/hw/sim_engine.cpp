@@ -120,9 +120,10 @@ struct SimEngine::State {
   double thermal_until = -kInf;
   double throttled_s = 0.0;  // time with effective level below requested
 
-  // compute_efficiency of each layer of the graph execute_graph is running,
-  // refilled per call; the capacity is reused across a run's work items.
-  std::vector<double> layer_eff;
+  // Slice price of each layer of the graph execute_graph is running, at the
+  // level pair it was last priced for; reset per call, the capacity reused
+  // across a run's work items.
+  std::vector<SlicePrice> prices;
 
   std::vector<FreqTracePoint> trace;
   Telemetry telemetry{0.05};
@@ -159,12 +160,10 @@ void SimEngine::refresh_thermal(State& st) {
   st.thermal_until = ts.until_s;
 }
 
-void SimEngine::advance(State& st, double dt, const ActivityState& activity,
-                        double gpu_busy) {
+void SimEngine::advance(State& st, double dt, double p,
+                        const ActivityState& activity, double gpu_busy) {
   if (dt <= 0.0) return;
-  const std::size_t gpu_eff = effective_gpu_level(st);
-  if (gpu_eff < st.gpu_level) st.throttled_s += dt;
-  const double p = power_.total_w_at(gpu_eff, st.cpu_level, activity);
+  if (effective_gpu_level(st) < st.gpu_level) st.throttled_s += dt;
   st.energy += p * dt;
   st.telemetry.record_slice(st.time, dt, p);
   st.win_gpu_util += gpu_busy * dt;
@@ -192,8 +191,10 @@ void SimEngine::request_gpu_level(State& st, std::size_t level) {
   }
   // The host blocks while the clock request goes through the driver; no
   // forward progress, near-idle GPU activity.
-  advance(st, platform_->dvfs.stall_s, ActivityState{0.0, 0.0, st.cpu_load},
-          /*gpu_busy=*/0.0);
+  const ActivityState stalled{0.0, 0.0, st.cpu_load};
+  advance(st, platform_->dvfs.stall_s,
+          power_.total_w_at(effective_gpu_level(st), st.cpu_level, stalled),
+          stalled, /*gpu_busy=*/0.0);
   st.stall_time += platform_->dvfs.stall_s;
   if (st.tw != nullptr) {
     st.tw->counter(st.trace_pid, kDvfsTid, st.time * kUsPerS,
@@ -303,12 +304,17 @@ void SimEngine::governor_sample(State& st, const RunPolicy& policy) {
 void SimEngine::execute_graph(const dnn::Graph& graph, int passes,
                               const RunPolicy& policy, State& st) {
   if (passes <= 0) throw std::invalid_argument("SimEngine: passes <= 0");
-  // A layer's compute efficiency (its occupancy std::pow) does not depend
-  // on the levels, so it is taken once per call, not once per slice of
-  // every pass.
-  st.layer_eff.resize(graph.size());
+  // Reset the slice prices. A slice's price depends only on its layer, the
+  // (effective GPU, CPU) level pair and the policy's constant loads, so a
+  // layer is priced once in the first pass and again only where a
+  // transition or a thermal cap gives it another pair. Its compute
+  // efficiency (the occupancy std::pow) depends on no level, so it is taken
+  // here, once per call, and not on the miss path, which hill-climbing
+  // governors take on most slices.
+  st.prices.resize(graph.size());
   for (std::size_t i = 0; i < graph.size(); ++i) {
-    st.layer_eff[i] = LatencyModel::compute_efficiency(graph.layer(i));
+    st.prices[i].eff = LatencyModel::compute_efficiency(graph.layer(i));
+    st.prices[i].gpu_level = SlicePrice::kNoLevel;
   }
 
   for (int pass = 0; pass < passes; ++pass) {
@@ -348,12 +354,30 @@ void SimEngine::execute_graph(const dnn::Graph& graph, int passes,
       while (remaining > kMinSlice) {
         apply_pending(st);
         refresh_thermal(st);
-        const LayerTiming t = latency_.time_layer(
-            layer, st.layer_eff[i],
-            platform_->gpu_freq(effective_gpu_level(st)),
-            platform_->cpu_freq(st.cpu_level));
-        if (t.total_s <= 0.0) break;
-        const double total_s = t.total_s * lat_factor;
+        const std::size_t gpu_eff = effective_gpu_level(st);
+        SlicePrice& sp = st.prices[i];
+        if (sp.gpu_level != gpu_eff || sp.cpu_level != st.cpu_level) {
+          const LayerTiming t = latency_.time_layer(
+              layer, sp.eff, platform_->gpu_freq(gpu_eff),
+              platform_->cpu_freq(st.cpu_level));
+          sp.gpu_level = gpu_eff;
+          sp.cpu_level = st.cpu_level;
+          sp.total_s = t.total_s;
+          sp.gpu_busy = t.gpu_busy;
+          // Launcher-thread load is work-conserving: fixed cycles per
+          // second of inference, so its busy fraction rises as the CPU
+          // slows. The average load (for power) spreads it over the cores.
+          sp.launcher = std::min(1.0, policy.launcher_load *
+                                          platform_->cpu.freqs_hz.back() /
+                                          platform_->cpu_freq(st.cpu_level));
+          const double cpu_act = std::min(
+              1.0, policy.cpu_load + sp.launcher / static_cast<double>(
+                                                       platform_->cpu.cores));
+          sp.activity = ActivityState{t.gpu_activity, t.mem_activity, cpu_act};
+          sp.power_w = power_.total_w_at(gpu_eff, st.cpu_level, sp.activity);
+        }
+        if (sp.total_s <= 0.0) break;
+        const double total_s = sp.total_s * lat_factor;
 
         const double layer_dt = remaining * total_s;
         double dt = layer_dt;
@@ -365,18 +389,8 @@ void SimEngine::execute_graph(const dnn::Graph& graph, int passes,
         }
         dt = std::max(dt, kMinSlice);
 
-        // Launcher-thread load is work-conserving: fixed cycles per second
-        // of inference, so its busy fraction rises as the CPU slows. The
-        // average load (for power) spreads it over the cores.
-        const double launcher = std::min(
-            1.0, policy.launcher_load * platform_->cpu.freqs_hz.back() /
-                     platform_->cpu_freq(st.cpu_level));
-        const double cpu_act = std::min(
-            1.0, policy.cpu_load +
-                     launcher / static_cast<double>(platform_->cpu.cores));
-        st.win_cpu_peak += launcher * dt;
-        advance(st, dt, ActivityState{t.gpu_activity, t.mem_activity, cpu_act},
-                t.gpu_busy);
+        st.win_cpu_peak += sp.launcher * dt;
+        advance(st, dt, sp.power_w, sp.activity, sp.gpu_busy);
         remaining -= dt / total_s;
 
         apply_pending(st);
@@ -416,7 +430,10 @@ void SimEngine::execute_graph(const dnn::Graph& graph, int passes,
                    policy.launcher_load /
                        static_cast<double>(platform_->cpu.cores));
       st.win_cpu_peak += policy.launcher_load * dt;
-      advance(st, dt, ActivityState{0.0, 0.0, cpu_act}, /*gpu_busy=*/0.0);
+      const ActivityState idle{0.0, 0.0, cpu_act};
+      advance(st, dt,
+              power_.total_w_at(effective_gpu_level(st), st.cpu_level, idle),
+              idle, /*gpu_busy=*/0.0);
       gap -= dt;
       apply_pending(st);
       if (policy.governor != nullptr && st.time >= st.next_sample_at) {

@@ -19,6 +19,7 @@
 #include "hw/telemetry.hpp"
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -142,9 +143,27 @@ class SimEngine {
 
  private:
   struct State;
+  // What a slice of one layer costs at one (effective GPU, CPU) level pair
+  // under one run's policy: the layer's unscaled duration, its GPU busy
+  // fraction, launcher-thread load, activity factors and power draw. The
+  // level pair is the key; kNoLevel matches no pair. `eff` is the layer's
+  // LatencyModel::compute_efficiency, which no level changes.
+  struct SlicePrice {
+    static constexpr std::size_t kNoLevel =
+        std::numeric_limits<std::size_t>::max();
+    std::size_t gpu_level = kNoLevel;
+    std::size_t cpu_level = kNoLevel;
+    double eff = 0.0;
+    double total_s = 0.0;
+    double gpu_busy = 0.0;
+    double launcher = 0.0;
+    ActivityState activity;
+    double power_w = 0.0;
+  };
   void execute_graph(const dnn::Graph& graph, int passes,
                      const RunPolicy& policy, State& st);
-  void advance(State& st, double dt, const ActivityState& activity,
+  // Charges `dt` seconds at power `p` to the run and the governor window.
+  void advance(State& st, double dt, double p, const ActivityState& activity,
                double gpu_busy);
   // Requested level clamped by the thermal cap currently in force.
   std::size_t effective_gpu_level(const State& st) const noexcept;

@@ -1,5 +1,6 @@
 #include "obs/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -39,13 +40,17 @@ void append_json_number(std::string& out, double v) {
   if (!std::isfinite(v)) v = 0.0;
   char buf[32];
   // Integers up to 2^53 print exactly and without an exponent or trailing
-  // fraction; everything else keeps round-trip precision.
-  if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.12g", v);
-  }
-  out += buf;
+  // fraction; everything else keeps round-trip precision. std::to_chars
+  // with an explicit format and precision prints what printf's "%.0f" and
+  // "%.12g" print in the C locale, whatever the process locale is.
+  const bool integral =
+      v == std::floor(v) && std::fabs(v) < 9.007199254740992e15;
+  const std::to_chars_result r =
+      integral ? std::to_chars(buf, buf + sizeof(buf), v,
+                               std::chars_format::fixed, 0)
+               : std::to_chars(buf, buf + sizeof(buf), v,
+                               std::chars_format::general, 12);
+  out.append(buf, r.ptr);
 }
 
 void append_json_number_or_null(std::string& out, double v) {
@@ -60,6 +65,13 @@ std::string json_number(double v) {
   std::string out;
   append_json_number(out, v);
   return out;
+}
+
+std::string hex_signature(std::uint64_t sig) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(sig));
+  return buf;
 }
 
 JsonWriter& JsonWriter::field(std::string_view key, double value) {

@@ -30,6 +30,10 @@ void append_json_number_or_null(std::string& out, double v);
 
 std::string json_number(double v);
 
+// A 64-bit graph signature as fixed-width hex, e.g. "0x00000000deadbeef":
+// the form journal records and residual series keys carry.
+std::string hex_signature(std::uint64_t sig);
+
 // Builder for one-line JSON object records, the format the bench binaries
 // emit one measurement per line in. Integer-valued doubles print without a
 // fractional part, so counters round-trip as integers.

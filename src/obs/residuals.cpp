@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <ostream>
 #include <sstream>
@@ -25,12 +24,10 @@ double relative_residual(double predicted, double observed) noexcept {
 
 std::string signature_key(std::string_view policy, std::string_view model,
                           std::uint64_t sig) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "0x%016llx",
-                static_cast<unsigned long long>(sig));
   std::string key;
   key.reserve(policy.size() + model.size() + 20);
-  key.append(policy).append("/").append(model).append("/").append(buf);
+  key.append(policy).append("/").append(model).append("/").append(
+      hex_signature(sig));
   return key;
 }
 

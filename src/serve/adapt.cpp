@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -33,14 +32,6 @@ constexpr double kMinStepScale = 0.1;
 constexpr double kMaxStepScale = 10.0;
 constexpr double kMinCumScale = 0.05;
 constexpr double kMaxCumScale = 20.0;
-
-// The residual key form for a plan signature (mirrors serve/server.cpp).
-std::string hex_signature(std::uint64_t sig) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(sig));
-  return buf;
-}
 
 double clamp_scale(double v, double lo, double hi) {
   if (!std::isfinite(v)) return 1.0;
@@ -315,7 +306,7 @@ void AdaptController::on_epoch_boundary(const EpochContext& ctx) {
       const std::size_t m = pending[i].model;
       obs::JsonWriter r;
       r.field("model", models_[m].name);
-      r.field("plan_signature", hex_signature(model_sigs_[m]));
+      r.field("plan_signature", obs::hex_signature(model_sigs_[m]));
       r.field("time_scale", time_scale_[m]);
       r.field("energy_scale", energy_scale_[m]);
       r.field("latency_ewma", pending[i].latency_ewma);

@@ -17,7 +17,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
+#include <condition_variable>
 #include <exception>
 #include <functional>
 #include <limits>
@@ -44,14 +44,6 @@ constexpr int kWaitTid = 2;    // async queue-wait spans (overlapping)
 // The adaptation layer's epoch records live at 32+ (serve/adapt.cpp).
 constexpr std::uint32_t kSeqRequest = 1;
 constexpr std::uint32_t kSeqFirstAttempt = 2;
-
-// The residual key form for a plan signature, shared with obs::Residuals.
-std::string hex_signature(std::uint64_t sig) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(sig));
-  return buf;
-}
 
 // Nearest-rank quantile over an ascending-sorted sample.
 double quantile(const std::vector<double>& sorted, double q) {
@@ -188,7 +180,7 @@ PlanCache::PlanPtr Server::plan_for(std::size_t model_index,
 }
 
 std::vector<Server::ServiceResult> Server::simulate_parallel(
-    std::span<const Task> tasks) {
+    std::span<const Task> tasks, const FoldReady& fold_ready) {
   std::vector<ServiceResult> results(tasks.size());
   if (tasks.empty()) return results;
 
@@ -203,9 +195,17 @@ std::vector<Server::ServiceResult> Server::simulate_parallel(
     }
   }
 
+  const std::size_t num_workers =
+      std::min(std::max<std::size_t>(1, config_.num_workers), tasks.size());
   BoundedQueue<std::size_t> queue(config_.dispatch_depth);
   std::mutex error_mu;
   std::exception_ptr first_error;
+  // Workers publish each finished result here; the calling thread hands
+  // the published prefix to fold_ready while later tasks still simulate.
+  std::mutex publish_mu;
+  std::condition_variable publish_cv;
+  std::vector<char> published(tasks.size(), 0);
+  std::size_t workers_done = 0;
 
   const bool inject = config_.faults.active();
   // Each worker appends attempt records under strictly increasing
@@ -315,30 +315,70 @@ std::vector<Server::ServiceResult> Server::simulate_parallel(
           if (!degraded) break;
         }
         results[*idx] = std::move(out);
+        {
+          const std::lock_guard<std::mutex> lock(publish_mu);
+          published[*idx] = 1;
+        }
+        publish_cv.notify_one();
       } catch (...) {
         const std::lock_guard<std::mutex> lock(error_mu);
         if (!first_error) first_error = std::current_exception();
         draining = true;
       }
     }
+    {
+      const std::lock_guard<std::mutex> lock(publish_mu);
+      ++workers_done;
+    }
+    publish_cv.notify_one();
   };
 
-  const std::size_t num_workers =
-      std::min(std::max<std::size_t>(1, config_.num_workers), tasks.size());
+  // Folds the longest published prefix past `folded`. With `wait`, first
+  // blocks until the next result is published or every worker has exited
+  // (a failed task is never published). Returns whether it folded any.
+  std::size_t folded = 0;
+  const auto fold_published = [&](bool wait) {
+    std::size_t end = folded;
+    {
+      std::unique_lock<std::mutex> lock(publish_mu);
+      if (wait) {
+        publish_cv.wait(lock, [&] {
+          return published[folded] != 0 || workers_done == num_workers;
+        });
+      }
+      while (end < tasks.size() && published[end] != 0) ++end;
+    }
+    if (end == folded) return false;
+    fold_ready(folded, std::span<const ServiceResult>(results).subspan(
+                           folded, end - folded));
+    folded = end;
+    return true;
+  };
+
   std::vector<std::thread> workers;
   workers.reserve(num_workers);
   for (std::size_t w = 0; w < num_workers; ++w) workers.emplace_back(worker);
   bool dispatch_failed = false;
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (!queue.push(i)) {
-      // push() returning false means the queue was closed under us; a
-      // silent drop here would serve a stream with holes in it. Drain the
-      // workers, then fail the whole serve() call loudly.
-      dispatch_failed = true;
-      break;
+  try {
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      if (!queue.push(i)) {
+        // push() returning false means the queue was closed under us; a
+        // silent drop here would serve a stream with holes in it. Drain
+        // the workers, then fail the whole serve() call loudly.
+        dispatch_failed = true;
+        break;
+      }
+      fold_published(/*wait=*/false);
     }
+    queue.close();
+    while (folded < tasks.size() && fold_published(/*wait=*/true)) {
+    }
+  } catch (...) {
+    // fold_ready threw: stop the workers before unwinding.
+    queue.close();
+    for (std::thread& t : workers) t.join();
+    throw;
   }
-  queue.close();
   for (std::thread& t : workers) t.join();
   if (dispatch_failed) {
     throw std::runtime_error(
@@ -480,7 +520,7 @@ class Server::Fold {
       }
     }
     if (plan_based_) {
-      w.field("plan_signature", hex_signature(o.plan_signature));
+      w.field("plan_signature", obs::hex_signature(o.plan_signature));
       w.field("plan_cold", o.plan_cold);
     }
     w.field_or_null("predicted_time_s", o.predicted_time_s);
@@ -945,20 +985,23 @@ ServeReport Server::serve(std::span<const Task> tasks) {
     return fold.finish();
   }
 
-  // Plan policies run in epoch chunks: simulate a chunk, fold it (which
-  // commits its residuals in task order), then let the adaptation layer act
-  // on the committed snapshot before the next chunk's workers spawn — the
-  // closed loop. Without adaptation the whole stream is one chunk, which
-  // reproduces the former simulate-then-fold path bit for bit (the fold is
-  // associative over chunks by construction).
+  // Plan policies run in epoch chunks: simulate a chunk while folding its
+  // finished prefix (which commits its residuals in task order), then let
+  // the adaptation layer act on the committed snapshot before the next
+  // chunk's workers spawn — the closed loop. Without adaptation the whole
+  // stream is one chunk. The fold is associative over chunks by
+  // construction, so folding a chunk piecewise as its results arrive gives
+  // the same bytes as folding it whole.
   const std::size_t chunk =
       adapt_ != nullptr ? config_.adapt_epoch_tasks
                         : std::max<std::size_t>(tasks.size(), 1);
   for (std::size_t base = 0; base < tasks.size(); base += chunk) {
     const std::size_t n = std::min(chunk, tasks.size() - base);
     const std::span<const Task> sub = tasks.subspan(base, n);
-    const std::vector<ServiceResult> services = simulate_parallel(sub);
-    fold.consume(sub, services, base);
+    const std::vector<ServiceResult> services = simulate_parallel(
+        sub, [&](std::size_t first, std::span<const ServiceResult> ready) {
+          fold.consume(sub.subspan(first, ready.size()), ready, base + first);
+        });
     if (adapt_ != nullptr) {
       // Per-model thermal/served aggregates of this epoch, harvested in
       // task order from the chunk's results (worker-count invariant).

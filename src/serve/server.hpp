@@ -21,10 +21,12 @@
 //    byte-identical to the seed Figure 5 bench.
 //
 // Either way, a deterministic single-threaded fold over the tasks in
-// arrival order then builds the serving timeline: admission control
-// (bounded in-system task count on the *simulated* clock), start/finish
-// times on the single device, per-request latency and deadline accounting,
-// metrics, and per-request trace spans on a virtual track.
+// arrival order builds the serving timeline (for plan policies, on the
+// dispatching thread while the workers simulate later requests):
+// admission control (bounded in-system task count on the *simulated*
+// clock), start/finish times on the single device, per-request latency and
+// deadline accounting, metrics, and per-request trace spans on a virtual
+// track.
 //
 // Fault injection and graceful degradation: ServerConfig::faults turns on
 // the deterministic hardware fault model (src/fault). Plan policies derive
@@ -55,6 +57,7 @@
 #include "serve/request_stream.hpp"
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <limits>
 #include <memory>
@@ -345,16 +348,25 @@ class Server {
   // on leased scratch, so steady-state misses do no heap traffic in the
   // matrix hot loops.
   PlanCache::PlanPtr plan_for(std::size_t model_index, linalg::Workspace& ws);
+  // Receives finished results in task order: `ready` holds the results of
+  // tasks [first, first + ready.size()) of the simulated span.
+  using FoldReady = std::function<void(
+      std::size_t first, std::span<const ServiceResult> ready)>;
   // Independent per-request simulation, fanned out over worker threads.
-  std::vector<ServiceResult> simulate_parallel(std::span<const Task> tasks);
+  // The calling thread hands each finished prefix of results to
+  // `fold_ready` while later requests still simulate; on a clean return
+  // every result has been handed over exactly once. A worker's exception
+  // is rethrown after every worker has stopped.
+  std::vector<ServiceResult> simulate_parallel(std::span<const Task> tasks,
+                                               const FoldReady& fold_ready);
   // One continuous run_workload, split into per-request results by marks.
   std::vector<ServiceResult> simulate_reactive(std::span<const Task> tasks);
   // Incremental deterministic fold over the serving timeline: constructed
-  // once per serve() call, fed epoch chunks of (tasks, services) in task
-  // order by consume(), and closed by finish(), which returns the report.
-  // One full-stream consume() reproduces the former all-at-once fold bit
-  // for bit; the chunked form exists so the adaptation layer can act
-  // between epochs on residuals the fold has already committed.
+  // once per serve() call, fed chunks of (tasks, services) in task order by
+  // consume(), and closed by finish(), which returns the report. Any split
+  // of the stream into chunks folds to the same bytes, so the adaptation
+  // layer can act between epochs on residuals the fold has already
+  // committed, and serve() can fold while the workers simulate.
   class Fold;
   // The framework plan computations run against: the adaptation
   // controller's active bundle when adaptation is on, the injected

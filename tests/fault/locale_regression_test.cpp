@@ -1,6 +1,7 @@
 // Hostile-locale regression suite (mirrors the PR 8 persistence locale
-// tests): the FaultSpec grammar and the test-support JSON parser must be
-// immune to a comma-decimal LC_NUMERIC. The pre-fix code routed numbers
+// tests): the FaultSpec grammar, the test-support JSON parser and the
+// observability JSON number formatter must be immune to a comma-decimal
+// LC_NUMERIC. The pre-fix code routed numbers
 // through std::strtod, which reads the C locale — under de_DE-style
 // LC_NUMERIC it stops parsing "0.1" at the '.', so a valid `--faults
 // dvfs=0.1` was rejected as malformed.
@@ -12,6 +13,7 @@
 // it; when neither an installed candidate nor localedef works, the C-locale
 // tests skip rather than silently pass.
 #include "fault/fault_spec.hpp"
+#include "obs/json.hpp"
 #include "support/json_parser.hpp"
 #include "util/numeric.hpp"
 
@@ -166,6 +168,20 @@ TEST(LocaleRegressionTest, JsonParserReadsNumbersUnderCommaDecimalLcNumeric) {
   EXPECT_DOUBLE_EQ(root.object().at("x").number(), 1.5);
   EXPECT_DOUBLE_EQ(root.object().at("y").number(), -2.25e-3);
   EXPECT_DOUBLE_EQ(root.object().at("z").number(), 10.0);
+}
+
+TEST(LocaleRegressionTest, JsonNumbersKeepTheDecimalPointUnderCommaLcNumeric) {
+  HostileNumericLocale hostile;
+  if (!hostile.hostile()) {
+    GTEST_SKIP() << "no comma-decimal locale available";
+  }
+  // printf reads LC_NUMERIC; the number formatter behind the journal,
+  // residual, report and metrics exports must not, or "0,5" would split
+  // one JSON value in two.
+  EXPECT_EQ(obs::json_number(0.5), "0.5");
+  EXPECT_EQ(obs::json_number(-2.25e-3), "-0.00225");
+  EXPECT_EQ(obs::json_number(1e300), "1e+300");
+  EXPECT_EQ(obs::JsonWriter().field("x", 1.5).str(), "{\"x\": 1.5}");
 }
 
 TEST(LocaleRegressionTest, ParseDoubleHelperIsStrictAndLocaleFree) {

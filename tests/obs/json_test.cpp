@@ -5,8 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <limits>
+#include <random>
 #include <string>
+#include <vector>
 
 namespace powerlens::obs {
 namespace {
@@ -34,6 +39,76 @@ TEST(JsonNumber, IntegersPrintWithoutFraction) {
 TEST(JsonNumber, FractionsKeepPrecision) {
   EXPECT_EQ(json_number(0.5), "0.5");
   EXPECT_NE(json_number(3.14159).find("3.14159"), std::string::npos);
+}
+
+// append_json_number formats with std::to_chars; printf's "%.0f" (integral
+// values below 2^53) and "%.12g" (everything else) in the C locale are the
+// reference it must match byte for byte.
+std::string printf_reference(double v) {
+  char buf[64];
+  if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
+    std::snprintf(buf, sizeof(buf), "%.0f", v);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.12g", v);
+  }
+  return buf;
+}
+
+TEST(JsonNumber, MatchesPrintfFormats) {
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e-5, 1e-4, 123456789012.5,
+      999999999999.5, 9999999999995.0, 1e12, 1e15, 1e16, 1e17, 1e300,
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::nextafter(std::numeric_limits<double>::min(), 0.0)};
+  // The 2^53 boundary where the integral branch ends, from both sides.
+  for (const double edge : {9.007199254740992e15, -9.007199254740992e15}) {
+    double below = edge;
+    double above = edge;
+    for (int i = 0; i < 8; ++i) {
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, edge * 2.0);
+      values.push_back(below);
+      values.push_back(above);
+    }
+    values.push_back(edge);
+  }
+  std::mt19937_64 rng(20240601);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  std::uniform_int_distribution<int> exponent(-320, 300);
+  std::uniform_int_distribution<std::int64_t> integer(
+      -(std::int64_t{1} << 53), std::int64_t{1} << 53);
+  for (int i = 0; i < 100000; ++i) {
+    // Random bit patterns cover every exponent, subnormals included.
+    const std::uint64_t bits = rng();
+    double raw;
+    std::memcpy(&raw, &bits, sizeof(raw));
+    if (std::isfinite(raw)) values.push_back(raw);
+    values.push_back(unit(rng) * std::pow(10.0, exponent(rng)));
+    values.push_back(static_cast<double>(integer(rng)));
+    // Values near .5 at 12 significant digits exercise the rounding.
+    values.push_back(std::round(unit(rng) * 1e12) + 0.5);
+  }
+  std::size_t mismatches = 0;
+  for (const double v : values) {
+    const std::string expected = printf_reference(v);
+    const std::string got = json_number(v);
+    if (got != expected && ++mismatches <= 5) {
+      ADD_FAILURE() << "value " << std::hexfloat << v << ": got " << got
+                    << ", printf gives " << expected;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << values.size() << " values";
+}
+
+TEST(JsonNumber, HexSignatureIsFixedWidth) {
+  EXPECT_EQ(hex_signature(0), "0x0000000000000000");
+  EXPECT_EQ(hex_signature(0xdeadbeefULL), "0x00000000deadbeef");
+  EXPECT_EQ(hex_signature(std::numeric_limits<std::uint64_t>::max()),
+            "0xffffffffffffffff");
 }
 
 TEST(JsonNumber, NonFiniteClampsToZero) {

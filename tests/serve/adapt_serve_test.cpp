@@ -8,7 +8,8 @@
 //    run stays drifting.
 //  - The serving determinism contract survives the closed loop: reports,
 //    journal JSONL, and residual snapshots are byte-identical at 1 vs 8
-//    workers and across kernel dispatch paths, with retraining enabled.
+//    workers and across kernel dispatch paths, with retraining enabled,
+//    and at 1, 2, 4 and 8 workers with the fold running beside them.
 //  - Cold models (never served, never drifting) keep their plans untouched;
 //    thermal pressure caps re-planned levels below the ladder top.
 //  - Config surface: adaptation refuses non-PowerLens policies, disabled
@@ -267,6 +268,31 @@ TEST_F(AdaptServeTest, ExportsByteIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(rep1.str(), rep8.str());
   EXPECT_EQ(j1.jsonl(), j8.jsonl());
   EXPECT_EQ(r1.json(), r8.json());
+}
+
+TEST_F(AdaptServeTest, FoldedWhileSimulatingExportsMatchAtEveryWorkerCount) {
+  // The dispatching thread folds each finished prefix of an epoch while
+  // the workers simulate the rest, so how far the fold has got when a
+  // result lands depends on the worker count; the bytes must not.
+  std::string reference;
+  for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
+    obs::Journal journal;
+    obs::Residuals residuals;
+    Server server(*platform_, *models_,
+                  adapt_config(workers, drift_spec(), &journal, &residuals),
+                  framework_);
+    std::ostringstream report;
+    server.serve(RequestStream(models_->size(), stream_config()))
+        .write_json(report);
+    ASSERT_GT(server.adapt_controller()->replans(), 0u);
+    const std::string bytes =
+        report.str() + journal.jsonl() + residuals.json();
+    if (reference.empty()) {
+      reference = bytes;
+    } else {
+      EXPECT_EQ(bytes, reference) << workers << " workers";
+    }
+  }
 }
 
 TEST_F(AdaptServeTest, ExportsByteIdenticalAcrossDispatchPaths) {

@@ -6,7 +6,8 @@
 //  - Reactive serving equals one continuous run_workload, bit for bit.
 //  - Reports are invariant to the host worker count (1/4/8); the TSan CI
 //    job runs this same suite to catch data races in the fan-out.
-//  - Admission control, deadlines, and error paths behave as documented.
+//  - Admission control, deadlines, and error paths behave as documented;
+//    a request that fails inside a worker fails serve() without a hang.
 #include "serve/server.hpp"
 
 #include "baselines/fpg.hpp"
@@ -14,11 +15,19 @@
 #include "core/powerlens.hpp"
 #include "dnn/models.hpp"
 #include "hw/sim_engine.hpp"
+#include "serve/signature.hpp"
 #include "support/json_parser.hpp"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
 #include <string>
 #include <vector>
 
@@ -313,6 +322,46 @@ TEST_F(ServerTest, PowerLensWithoutFrameworkThrows) {
   EXPECT_THROW(
       server.serve(RequestStream(models_->size(), stream_config())),
       std::logic_error);
+}
+
+TEST_F(ServerTest, FailingRequestMidStreamRethrowsWithoutHanging) {
+  // mobilenet_v3's resident plan asks for a GPU level off the ladder, so
+  // each of its requests throws std::out_of_range inside a worker while
+  // the other models' requests simulate and fold. serve() must stop every
+  // worker and rethrow, also when the dispatch queue holds a single
+  // request and the dispatcher blocks on it. serve() runs on a
+  // helper thread: one that has neither returned nor thrown after a minute
+  // is hung, and a hung thread cannot be joined, so the process exits.
+  core::OptimizationPlan broken;
+  broken.schedule.points = {{0, platform_->gpu_levels()}};
+  const auto plan =
+      std::make_shared<const core::OptimizationPlan>(std::move(broken));
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    for (const std::size_t depth : {1u, 64u}) {
+      ServerConfig cfg;
+      cfg.policy = ServePolicy::kPowerLens;
+      cfg.num_workers = workers;
+      cfg.dispatch_depth = depth;
+      Server server(*platform_, *models_, cfg, framework_);
+      ASSERT_TRUE(server.plan_cache().preload(
+          graph_signature((*models_)[1].graph), plan));
+      std::packaged_task<void()> serve([&] {
+        server.serve(
+            RequestStream(models_->size(), stream_config(/*tasks=*/24)));
+      });
+      std::future<void> done = serve.get_future();
+      std::thread serving(std::move(serve));
+      if (done.wait_for(std::chrono::minutes(1)) ==
+          std::future_status::timeout) {
+        std::fprintf(stderr, "serve() hung: %zu workers, depth %zu\n",
+                     workers, depth);
+        std::_Exit(1);
+      }
+      serving.join();
+      EXPECT_THROW(done.get(), std::out_of_range)
+          << workers << " workers, depth " << depth;
+    }
+  }
 }
 
 TEST_F(ServerTest, ReactivePlusAdmissionControlThrows) {

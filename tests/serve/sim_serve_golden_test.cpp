@@ -11,7 +11,11 @@
 // pairs it with), pinned MAXN, BiM and FPG-G; then the plan, MAXN and FPG-G
 // again under the fault_adapt benchmark's FaultSpec and under a
 // thermal-heavy, failure-heavy spec; and one multi-item BiM workload for
-// the item marks. The serve half runs one small seeded PowerLens serve
+// the item marks. A second simulator digest per platform covers runs that
+// change the CPU level and revisit layers: FPG-CG with and without the
+// thermal spec, and interleaved multi-item workloads on one reused engine
+// (recorded before the simulator priced each layer once per level pair).
+// The serve half runs one small seeded PowerLens serve
 // with faults and drift adaptation plus one BiM serve, and digests their
 // report JSON, journal JSONL and residual JSON bytes together with the hex
 // text of every request outcome. Both the auto-detected kernel dispatch
@@ -33,6 +37,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <initializer_list>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -222,6 +227,42 @@ class SimServeGolden : public ::testing::Test {
     return d.value();
   }
 
+  // Runs that move the CPU level and the effective GPU level mid-pass and
+  // revisit layers across passes and work items: FPG-CG, whose hill climb
+  // drives the CPU ladder, fault-free and under the thermal-heavy spec; and
+  // interleaved multi-item workloads (two graphs, several passes each)
+  // under FPG-CG and BiM, all run back to back on one reused engine.
+  static std::uint64_t cpu_level_digest(const hw::Platform& platform) {
+    hw::SimEngine engine(platform);
+    const fault::FaultSpec thermal = fault::FaultSpec::parse(kThermalSpec);
+    Digest d;
+    std::vector<dnn::Graph> graphs;
+    for (const char* name : {"alexnet", "resnet152", "vgg19"}) {
+      graphs.push_back(dnn::make_model(name, 8));
+    }
+    for (const dnn::Graph& graph : graphs) {
+      baselines::FpgGovernor fpg_cg(baselines::FpgMode::kCpuGpu);
+      hw::RunPolicy reactive = engine.default_policy();
+      reactive.governor = &fpg_cg;
+      d.result(engine.run(graph, kPasses, reactive));
+      fault::FaultInjector injector(
+          thermal, fault::request_fault_seed(thermal.seed, 0, 0));
+      reactive.faults = &injector;
+      d.result(engine.run(graph, kPasses, reactive));
+    }
+    const std::vector<hw::WorkItem> items = {
+        {&graphs[0], 3}, {&graphs[1], 2}, {&graphs[0], 4}, {&graphs[1], 3}};
+    baselines::FpgGovernor fpg_cg(baselines::FpgMode::kCpuGpu);
+    baselines::OndemandGovernor bim;
+    for (hw::Governor* governor :
+         std::initializer_list<hw::Governor*>{&fpg_cg, &bim}) {
+      hw::RunPolicy reactive = engine.default_policy();
+      reactive.governor = governor;
+      d.result(engine.run_workload(items, reactive));
+    }
+    return d.value();
+  }
+
   static std::uint64_t serve_digest() {
     std::vector<DeployedModel> models;
     for (const char* name : {"alexnet", "resnet34", "googlenet", "vgg19"}) {
@@ -268,12 +309,17 @@ class SimServeGolden : public ::testing::Test {
     EXPECT_EQ(simulator_digest(*tx2_, *tx2_framework_), kTx2SimDigest);
     EXPECT_EQ(simulator_digest(*agx_, *agx_framework_), kAgxSimDigest);
     EXPECT_EQ(serve_digest(), kServeDigest);
+    EXPECT_EQ(cpu_level_digest(*tx2_), kTx2CpuLevelDigest);
+    EXPECT_EQ(cpu_level_digest(*agx_), kAgxCpuLevelDigest);
   }
 
   // Recorded before the warm request path was optimised.
   static constexpr std::uint64_t kTx2SimDigest = 0x70b352dafd6109b2ULL;
   static constexpr std::uint64_t kAgxSimDigest = 0xa849af457f61e32bULL;
   static constexpr std::uint64_t kServeDigest = 0x366b9809db0cc15bULL;
+  // Recorded before the simulator priced each layer once per level pair.
+  static constexpr std::uint64_t kTx2CpuLevelDigest = 0x08d672001fd1f091ULL;
+  static constexpr std::uint64_t kAgxCpuLevelDigest = 0x6120efe2b4d7a596ULL;
 
   static hw::Platform* tx2_;
   static hw::Platform* agx_;
