@@ -16,32 +16,9 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // Guard against zero-length slices looping forever on FP round-off.
 constexpr double kMinSlice = 1e-12;
 
-// Run accounting handles, each resolved once (function-local statics, as in
-// serve/plan_cache.cpp) on the first run that records it: a process that
+// Fault accounting handles, each resolved once (function-local statics, as
+// in serve/plan_cache.cpp) on the first run that records it: a process that
 // never simulates a faulty run exports no fault counters.
-void record_run_metrics(const ExecutionResult& r) {
-  obs::MetricsRegistry& m = obs::global_metrics();
-  static obs::Counter& runs =
-      m.counter("powerlens_sim_runs_total", "simulator runs");
-  static obs::Counter& images =
-      m.counter("powerlens_sim_images_total", "images inferred in simulation");
-  static obs::Counter& energy_j = m.counter(
-      "powerlens_sim_energy_joules_total", "simulated energy consumed");
-  static obs::Counter& time_s =
-      m.counter("powerlens_sim_time_seconds_total", "simulated time elapsed");
-  static obs::Counter& transitions = m.counter(
-      "powerlens_sim_dvfs_transitions_total", "GPU DVFS transitions applied");
-  static obs::Counter& stall_s =
-      m.counter("powerlens_sim_dvfs_stall_seconds_total",
-                "host stall paid on DVFS transitions");
-  runs.inc();
-  images.inc(static_cast<double>(r.images));
-  energy_j.inc(r.energy_j);
-  time_s.inc(r.time_s);
-  transitions.inc(static_cast<double>(r.dvfs_transitions));
-  stall_s.inc(r.dvfs_stall_s);
-}
-
 void record_fault_metrics(const ExecutionResult& r) {
   obs::MetricsRegistry& m = obs::global_metrics();
   static obs::Counter& dvfs_failed =
@@ -77,6 +54,31 @@ constexpr int kPowerTid = 3;     // tegrastats-style power counter track
 constexpr double kUsPerS = 1e6;
 
 }  // namespace
+
+// Run accounting handles, each resolved once (function-local statics) on
+// the first run that records it.
+void record_run_metrics(const ExecutionResult& r) {
+  obs::MetricsRegistry& m = obs::global_metrics();
+  static obs::Counter& runs =
+      m.counter("powerlens_sim_runs_total", "simulator runs");
+  static obs::Counter& images =
+      m.counter("powerlens_sim_images_total", "images inferred in simulation");
+  static obs::Counter& energy_j = m.counter(
+      "powerlens_sim_energy_joules_total", "simulated energy consumed");
+  static obs::Counter& time_s =
+      m.counter("powerlens_sim_time_seconds_total", "simulated time elapsed");
+  static obs::Counter& transitions = m.counter(
+      "powerlens_sim_dvfs_transitions_total", "GPU DVFS transitions applied");
+  static obs::Counter& stall_s =
+      m.counter("powerlens_sim_dvfs_stall_seconds_total",
+                "host stall paid on DVFS transitions");
+  runs.inc();
+  images.inc(static_cast<double>(r.images));
+  energy_j.inc(r.energy_j);
+  time_s.inc(r.time_s);
+  transitions.inc(static_cast<double>(r.dvfs_transitions));
+  stall_s.inc(r.dvfs_stall_s);
+}
 
 struct SimEngine::State {
   double time = 0.0;
@@ -119,11 +121,6 @@ struct SimEngine::State {
   std::size_t thermal_levels_off = 0;
   double thermal_until = -kInf;
   double throttled_s = 0.0;  // time with effective level below requested
-
-  // Slice price of each layer of the graph execute_graph is running, at the
-  // level pair it was last priced for; reset per call, the capacity reused
-  // across a run's work items.
-  std::vector<SlicePrice> prices;
 
   std::vector<FreqTracePoint> trace;
   Telemetry telemetry{0.05};
@@ -311,10 +308,10 @@ void SimEngine::execute_graph(const dnn::Graph& graph, int passes,
   // efficiency (the occupancy std::pow) depends on no level, so it is taken
   // here, once per call, and not on the miss path, which hill-climbing
   // governors take on most slices.
-  st.prices.resize(graph.size());
+  prices_.resize(graph.size());
   for (std::size_t i = 0; i < graph.size(); ++i) {
-    st.prices[i].eff = LatencyModel::compute_efficiency(graph.layer(i));
-    st.prices[i].gpu_level = SlicePrice::kNoLevel;
+    prices_[i].eff = LatencyModel::compute_efficiency(graph.layer(i));
+    prices_[i].gpu_level = SlicePrice::kNoLevel;
   }
 
   for (int pass = 0; pass < passes; ++pass) {
@@ -355,7 +352,7 @@ void SimEngine::execute_graph(const dnn::Graph& graph, int passes,
         apply_pending(st);
         refresh_thermal(st);
         const std::size_t gpu_eff = effective_gpu_level(st);
-        SlicePrice& sp = st.prices[i];
+        SlicePrice& sp = prices_[i];
         if (sp.gpu_level != gpu_eff || sp.cpu_level != st.cpu_level) {
           const LayerTiming t = latency_.time_layer(
               layer, sp.eff, platform_->gpu_freq(gpu_eff),

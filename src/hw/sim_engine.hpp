@@ -124,6 +124,16 @@ struct ExecutionResult {
   }
 };
 
+// Adds one run to the process-wide powerlens_sim_* counters (runs, images,
+// energy, simulated time, DVFS transitions and stall). Every SimEngine run
+// calls it once; a caller that reuses the summary of an identical earlier
+// run instead of simulating again calls it so the exports still count the
+// run.
+void record_run_metrics(const ExecutionResult& r);
+
+// One engine per thread: runs share engine-owned scratch (the slice prices),
+// so concurrent runs on one engine race. Each run starts from fresh state,
+// so a reused engine returns the same bits as a new one.
 class SimEngine {
  public:
   explicit SimEngine(const Platform& platform);
@@ -177,6 +187,10 @@ class SimEngine {
   const Platform* platform_;  // non-owning
   LatencyModel latency_;
   PowerModel power_;
+  // Slice price of each layer of the graph execute_graph is running, at the
+  // level pair it was last priced for; reset per execute_graph call, the
+  // capacity reused across work items and runs.
+  std::vector<SlicePrice> prices_;
 };
 
 }  // namespace powerlens::hw

@@ -12,7 +12,11 @@
 //  - Plan policies (PowerLens, MAXN): requests are independent simulator
 //    runs (the preset schedule resets at each request boundary, exactly the
 //    Figure 5 protocol), so worker threads pull request indices from a
-//    bounded MPMC queue and write results into per-index slots.
+//    bounded MPMC queue and write results into per-index slots. Without
+//    fault injection or an enabled default trace, a run is a pure function
+//    of (model, plan, passes), so each worker simulates a repeated one once
+//    per simulate_parallel call and reuses its result, still counting it in
+//    the powerlens_sim_* metrics (DESIGN §5m).
 //  - Reactive policies: governor state must persist across request
 //    boundaries (a real cpufreq/podgov instance never resets between
 //    requests), so the whole stream executes as ONE continuous

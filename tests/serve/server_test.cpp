@@ -8,6 +8,10 @@
 //    job runs this same suite to catch data races in the fan-out.
 //  - Admission control, deadlines, and error paths behave as documented;
 //    a request that fails inside a worker fails serve() without a hang.
+//  - A fault-free, untraced serve simulates each repeated (model, plan,
+//    passes) run once per worker and call; every attempt still equals a
+//    direct run bit for bit, and the simulator run counter still counts
+//    every attempt.
 #include "serve/server.hpp"
 
 #include "baselines/fpg.hpp"
@@ -15,6 +19,8 @@
 #include "core/powerlens.hpp"
 #include "dnn/models.hpp"
 #include "hw/sim_engine.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "serve/signature.hpp"
 #include "support/json_parser.hpp"
 
@@ -23,6 +29,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <future>
 #include <memory>
 #include <sstream>
@@ -101,6 +108,63 @@ class ServerTest : public ::testing::Test {
       EXPECT_EQ(a.outcomes[i].finish_s, b.outcomes[i].finish_s);
       EXPECT_EQ(a.outcomes[i].energy_j, b.outcomes[i].energy_j);
     }
+  }
+
+  // Every deployed model requested eight times, at 1, 2 and 3 passes, so
+  // each (model, passes) pair repeats.
+  static std::vector<Task> repeated_tasks() {
+    std::vector<Task> tasks(24);
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      tasks[i].id = i;
+      tasks[i].model_index = i % models_->size();
+      tasks[i].passes = 1 + static_cast<int>((i / models_->size()) % 3);
+    }
+    return tasks;
+  }
+
+  // Each outcome's single attempt equals a direct engine.run of its task,
+  // under the plan resident in `server`'s cache (PowerLens) or pinned at
+  // MAXN, bit for bit.
+  static void expect_attempts_equal_direct_runs(Server& server,
+                                                ServePolicy policy,
+                                                std::span<const Task> tasks,
+                                                const ServeReport& report) {
+    hw::SimEngine engine(*platform_);
+    baselines::OndemandGovernor cpu_governor;
+    ASSERT_EQ(report.outcomes.size(), tasks.size());
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      const Task& task = tasks[i];
+      const dnn::Graph& graph = (*models_)[task.model_index].graph;
+      hw::RunPolicy run_policy = engine.default_policy();
+      PlanCache::PlanPtr plan;
+      if (policy == ServePolicy::kPowerLens) {
+        plan = server.plan_cache().lookup(graph_signature(graph));
+        ASSERT_NE(plan, nullptr) << i;
+        run_policy.schedule = &plan->schedule;
+        run_policy.governor = &cpu_governor;
+      }
+      const hw::ExecutionResult r = engine.run(graph, task.passes, run_policy);
+      const std::vector<AttemptRecord>& attempts = report.outcomes[i].attempts;
+      ASSERT_EQ(attempts.size(), 1u) << i;
+      const AttemptRecord& a = attempts.front();
+      EXPECT_EQ(a.time_s, r.time_s) << i;  // bitwise, not NEAR
+      EXPECT_EQ(a.energy_j, r.energy_j) << i;
+      EXPECT_EQ(a.mean_power_w, r.telemetry_mean_power_w) << i;
+      EXPECT_EQ(a.peak_power_w, r.telemetry_peak_power_w) << i;
+      EXPECT_EQ(a.dvfs_stall_s, r.dvfs_stall_s) << i;
+      EXPECT_EQ(a.throttled_s, r.thermal_throttled_s) << i;
+      EXPECT_EQ(a.dvfs_transitions, r.dvfs_transitions) << i;
+      EXPECT_EQ(a.backoff_s, 0.0) << i;
+      EXPECT_FALSE(a.degraded) << i;
+      EXPECT_EQ(a.pinned, policy == ServePolicy::kMaxn) << i;
+      EXPECT_EQ(report.outcomes[i].images, r.images) << i;
+    }
+  }
+
+  static double sim_runs_total() {
+    return obs::global_metrics()
+        .counter("powerlens_sim_runs_total", "simulator runs")
+        .value();
   }
 
   static hw::Platform* platform_;
@@ -240,6 +304,103 @@ TEST_F(ServerTest, MaxnNeedsNoFramework) {
   // MAXN burns the most power of all policies on the same workload.
   const ServeReport pl = serve_with(ServePolicy::kPowerLens, 4);
   EXPECT_GT(r.energy_j, pl.energy_j);
+}
+
+// --- repeated runs (the per-worker run memo) ---
+
+TEST_F(ServerTest, RepeatedRunsEqualDirectRunsAtEveryWorkerCount) {
+  const std::vector<Task> tasks = repeated_tasks();
+  for (const ServePolicy policy : {ServePolicy::kPowerLens,
+                                   ServePolicy::kMaxn}) {
+    for (const std::size_t workers : {1u, 2u, 4u}) {
+      SCOPED_TRACE(std::string(policy_name(policy)) + ", " +
+                   std::to_string(workers) + " workers");
+      ServerConfig cfg;
+      cfg.policy = policy;
+      cfg.num_workers = workers;
+      Server server(*platform_, *models_, cfg, framework_);
+      const ServeReport report = server.serve(tasks);
+      expect_attempts_equal_direct_runs(server, policy, tasks, report);
+    }
+  }
+}
+
+TEST_F(ServerTest, SimRunCounterCountsEveryServedAttempt) {
+  const std::vector<Task> tasks = repeated_tasks();
+  for (const ServePolicy policy : {ServePolicy::kPowerLens,
+                                   ServePolicy::kMaxn}) {
+    ServerConfig cfg;
+    cfg.policy = policy;
+    cfg.num_workers = 2;
+    Server server(*platform_, *models_, cfg, framework_);
+    const double before = sim_runs_total();
+    const ServeReport report = server.serve(tasks);
+    std::size_t attempts = 0;
+    for (const RequestOutcome& o : report.outcomes) {
+      attempts += o.attempts.size();
+    }
+    EXPECT_EQ(attempts, tasks.size());
+    EXPECT_EQ(sim_runs_total() - before, static_cast<double>(attempts))
+        << policy_name(policy);
+  }
+}
+
+TEST_F(ServerTest, TracedServeSimulatesEveryAttempt) {
+  // The trace shows each simulated run as its own process, so a traced
+  // serve must not reuse runs: one "sim …" process per attempt.
+  const std::vector<Task> tasks = repeated_tasks();
+  const std::string path = testing::TempDir() + "server_test_memo_trace.json";
+  obs::TraceWriter& tw = obs::default_trace();
+  ASSERT_TRUE(tw.open(path));
+  ServerConfig cfg;
+  cfg.policy = ServePolicy::kPowerLens;
+  cfg.num_workers = 2;
+  Server server(*platform_, *models_, cfg, framework_);
+  const double before = sim_runs_total();
+  const ServeReport report = server.serve(tasks);
+  const double runs = sim_runs_total() - before;
+  tw.close();
+  std::ifstream file(path);
+  std::stringstream text;
+  text << file.rdbuf();
+  std::remove(path.c_str());
+
+  const std::string label =
+      "\"name\":\"sim " + platform_->name + " (PowerLens)\"";
+  std::size_t processes = 0;
+  for (std::size_t at = text.str().find(label); at != std::string::npos;
+       at = text.str().find(label, at + label.size())) {
+    ++processes;
+  }
+  EXPECT_EQ(processes, tasks.size());
+  EXPECT_EQ(runs, static_cast<double>(tasks.size()));
+  expect_attempts_equal_direct_runs(server, cfg.policy, tasks, report);
+}
+
+TEST_F(ServerTest, ReinstalledPlanIsServedByTheNextServe) {
+  // A plan installed between two serve() calls on one server must drive
+  // the second call's runs: no memoized run outlives the call that made it.
+  const std::vector<Task> tasks = repeated_tasks();
+  ServerConfig cfg;
+  cfg.policy = ServePolicy::kPowerLens;
+  cfg.num_workers = 2;
+  Server server(*platform_, *models_, cfg, framework_);
+  const ServeReport first = server.serve(tasks);
+  expect_attempts_equal_direct_runs(server, cfg.policy, tasks, first);
+
+  const std::uint64_t sig = graph_signature((*models_)[0].graph);
+  core::OptimizationPlan replanned = *server.plan_cache().lookup(sig);
+  replanned.schedule.points = {{0, platform_->max_gpu_level() / 2}};
+  ASSERT_TRUE(server.plan_cache().invalidate(sig));
+  ASSERT_TRUE(server.plan_cache().preload(
+      sig, std::make_shared<const core::OptimizationPlan>(replanned)));
+
+  const ServeReport second = server.serve(tasks);
+  expect_attempts_equal_direct_runs(server, cfg.policy, tasks, second);
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    if (tasks[i].model_index != 0) continue;
+    EXPECT_NE(second.outcomes[i].energy_j, first.outcomes[i].energy_j) << i;
+  }
 }
 
 // --- timeline semantics ---

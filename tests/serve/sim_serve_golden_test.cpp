@@ -18,8 +18,12 @@
 // The serve half runs one small seeded PowerLens serve
 // with faults and drift adaptation plus one BiM serve, and digests their
 // report JSON, journal JSONL and residual JSON bytes together with the hex
-// text of every request outcome. Both the auto-detected kernel dispatch
-// path and the forced scalar path must hit the same constants.
+// text of every request outcome. A third serve digest covers fault-free
+// plan-policy serves, where every request of a model repeats the same run:
+// a PowerLens and a MAXN server each serve two seeded streams over the
+// whole zoo (recorded before the workers memoized repeated runs). Both the
+// auto-detected kernel dispatch path and the forced scalar path must hit
+// the same constants.
 #include "baselines/fpg.hpp"
 #include "baselines/ondemand.hpp"
 #include "core/powerlens.hpp"
@@ -305,6 +309,54 @@ class SimServeGolden : public ::testing::Test {
     return d.value();
   }
 
+  // Fault-free, untraced PowerLens and MAXN serves over all 12 zoo models,
+  // two workers, two streams per server (2 then 3 passes per request), so
+  // every model is requested several times per serve() call and again in
+  // the next call.
+  static std::uint64_t repeated_serve_digest() {
+    std::vector<DeployedModel> models;
+    for (const dnn::ModelSpec& spec : dnn::model_zoo()) {
+      models.push_back({std::string(spec.name), spec.build(10)});
+    }
+    Digest d;
+    for (const ServePolicy policy : {ServePolicy::kPowerLens,
+                                     ServePolicy::kMaxn}) {
+      ServerConfig cfg;
+      cfg.policy = policy;
+      cfg.num_workers = 2;
+      obs::Journal journal;
+      obs::Residuals residuals;
+      cfg.journal = &journal;
+      cfg.residuals = &residuals;
+      Server server(*tx2_, models, cfg,
+                    policy == ServePolicy::kPowerLens ? tx2_framework_
+                                                      : nullptr);
+      for (const int images : {20, 30}) {
+        RequestStreamConfig stream;
+        stream.seed = 11;
+        stream.num_tasks = 96;
+        stream.images_per_task = images;
+        stream.batch = 10;
+        stream.arrivals = ArrivalProcess::kPoisson;
+        stream.arrival_rate_hz = 4.0;
+        stream.deadline_s = 2.0;
+        const std::vector<Task> tasks =
+            RequestStream(models.size(), stream).generate();
+        std::vector<int> per_model(models.size(), 0);
+        for (const Task& task : tasks) ++per_model[task.model_index];
+        for (const int n : per_model) EXPECT_GE(n, 3);
+        const ServeReport report = server.serve(tasks);
+        std::ostringstream json;
+        report.write_json(json);
+        d.text(json.str());
+        for (const RequestOutcome& o : report.outcomes) d.outcome(o);
+      }
+      d.text(journal.jsonl());
+      d.text(residuals.json());
+    }
+    return d.value();
+  }
+
   static void expect_recorded_digests() {
     EXPECT_EQ(simulator_digest(*tx2_, *tx2_framework_), kTx2SimDigest);
     EXPECT_EQ(simulator_digest(*agx_, *agx_framework_), kAgxSimDigest);
@@ -320,6 +372,8 @@ class SimServeGolden : public ::testing::Test {
   // Recorded before the simulator priced each layer once per level pair.
   static constexpr std::uint64_t kTx2CpuLevelDigest = 0x08d672001fd1f091ULL;
   static constexpr std::uint64_t kAgxCpuLevelDigest = 0x6120efe2b4d7a596ULL;
+  // Recorded before the serving workers memoized repeated fault-free runs.
+  static constexpr std::uint64_t kRepeatedServeDigest = 0xf1418de1d266fb38ULL;
 
   static hw::Platform* tx2_;
   static hw::Platform* agx_;
@@ -339,6 +393,15 @@ TEST_F(SimServeGolden, DigestsMatchRecordedOnAutoPath) {
 TEST_F(SimServeGolden, DigestsMatchRecordedOnScalarPath) {
   const ScalarPathGuard guard;
   expect_recorded_digests();
+}
+
+TEST_F(SimServeGolden, RepeatedServeDigestMatchesRecordedOnAutoPath) {
+  EXPECT_EQ(repeated_serve_digest(), kRepeatedServeDigest);
+}
+
+TEST_F(SimServeGolden, RepeatedServeDigestMatchesRecordedOnScalarPath) {
+  const ScalarPathGuard guard;
+  EXPECT_EQ(repeated_serve_digest(), kRepeatedServeDigest);
 }
 
 }  // namespace
