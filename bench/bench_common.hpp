@@ -9,9 +9,13 @@
 #include "hw/sim_engine.hpp"
 #include "obs/setup.hpp"
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 namespace powerlens::bench {
 
@@ -40,6 +44,45 @@ inline TrainedFramework train_for(const hw::Platform& platform,
                                                   bench_config(networks));
   t.summary = t.framework->train();
   return t;
+}
+
+// Wall-clock milliseconds of one run of `body`.
+template <typename F>
+double sample_ms(F&& body) {
+  const auto t0 = std::chrono::steady_clock::now();
+  body();
+  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::milli>(t1 - t0).count();
+}
+
+struct PairedRatio {
+  double median = 0.0;  // median over pairs of a / b
+  double a_min = 0.0;   // each side's fastest sample
+  double b_min = 0.0;
+};
+
+// Ratio of two timings that survives a host whose speed changes between
+// phases: A and B are sampled as adjacent pairs (ABAB...), so a speed
+// change lands on both sides of most pairs, and the median of the per-pair
+// ratios discards the pairs it split. `a` and `b` each return one sample in
+// the same unit.
+template <typename A, typename B>
+PairedRatio paired_ratio(A&& a, B&& b, int pairs = 15) {
+  std::vector<double> ratios;
+  PairedRatio out{0.0, std::numeric_limits<double>::infinity(),
+                  std::numeric_limits<double>::infinity()};
+  for (int i = 0; i < pairs; ++i) {
+    const double ta = a();
+    const double tb = b();
+    ratios.push_back(ta / tb);
+    out.a_min = std::min(out.a_min, ta);
+    out.b_min = std::min(out.b_min, tb);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  const std::size_t mid = ratios.size() / 2;
+  out.median = ratios.size() % 2 == 1 ? ratios[mid]
+                                      : 0.5 * (ratios[mid - 1] + ratios[mid]);
+  return out;
 }
 
 // The four methods of the evaluation (section 3.1).

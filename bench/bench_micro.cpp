@@ -6,6 +6,8 @@
 // `bench_micro --kernels-json=PATH` switches to a self-timing harness that
 // compares the blocked kernel layer against the straightforward loops it
 // replaced and writes a machine-readable report (see README.md).
+#include "bench_common.hpp"
+
 #include "baselines/ondemand.hpp"
 #include "clustering/cluster.hpp"
 #include "clustering/distance.hpp"
@@ -151,18 +153,13 @@ BENCHMARK(BM_MlpInference);
 using HarnessClock = std::chrono::steady_clock;
 
 // Best-of-N wall clock: the minimum is the standard least-noise estimator
-// for short deterministic bodies, and applying it to both sides of every
-// pairing keeps the reported ratios stable on shared CI runners.
+// for short deterministic bodies. Ratios that CI gates are timed as
+// adjacent pairs instead (bench::paired_ratio), because this host's speed
+// can change between two best-of-N phases.
 template <typename F>
 double best_of_ms(F&& body, int reps) {
   double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = HarnessClock::now();
-    body();
-    const auto t1 = HarnessClock::now();
-    best = std::min(
-        best, std::chrono::duration<double, std::milli>(t1 - t0).count());
-  }
+  for (int r = 0; r < reps; ++r) best = std::min(best, bench::sample_ms(body));
   return best;
 }
 
@@ -411,16 +408,6 @@ std::string plan_compute_record(core::PowerLens& framework,
       throw std::runtime_error("plan_compute: workspace path changed the plan");
     }
   }
-  const auto time_path = [&](linalg::Workspace* maybe_ws) {
-    return best_of_ms(
-               [&] {
-                 for (const dnn::Graph& g : graphs) {
-                   benchmark::DoNotOptimize(framework.optimize(g, maybe_ws));
-                 }
-               },
-               9) /
-           static_cast<double>(graphs.size());
-  };
   // The coalesced-miss path: all graphs planned through one optimize_batch
   // call (shared eigendecomposition sweeps). Cross-check first — batching
   // must never change a plan.
@@ -435,28 +422,39 @@ std::string plan_compute_record(core::PowerLens& framework,
       }
     }
   }
-  const auto time_batched = [&] {
-    return best_of_ms(
-               [&] {
+  // CI gates batched over heap, so those two are timed as adjacent pairs.
+  const bench::PairedRatio batched_over_heap = bench::paired_ratio(
+      [&] {
+        return bench::sample_ms([&] {
                  benchmark::DoNotOptimize(
                      framework.optimize_batch(graph_ptrs, &ws));
-               },
-               9) /
-           static_cast<double>(graphs.size());
-  };
-  // Interleave the paths so slow-clock phases on shared runners hit all
-  // sides equally.
-  double heap_ms = time_path(nullptr);
-  double workspace_ms = time_path(&ws);
-  double batched_ms = time_batched();
-  heap_ms = std::min(heap_ms, time_path(nullptr));
-  workspace_ms = std::min(workspace_ms, time_path(&ws));
-  batched_ms = std::min(batched_ms, time_batched());
+               }) /
+               static_cast<double>(graphs.size());
+      },
+      [&] {
+        return bench::sample_ms([&] {
+                 for (const dnn::Graph& g : graphs) {
+                   benchmark::DoNotOptimize(framework.optimize(g));
+                 }
+               }) /
+               static_cast<double>(graphs.size());
+      });
+  const double heap_ms = batched_over_heap.b_min;
+  const double batched_ms = batched_over_heap.a_min;
+  const double workspace_ms =
+      best_of_ms(
+          [&] {
+            for (const dnn::Graph& g : graphs) {
+              benchmark::DoNotOptimize(framework.optimize(g, &ws));
+            }
+          },
+          18) /
+      static_cast<double>(graphs.size());
   std::printf(
       "plan       heap %8.3f ms/plan  workspace %8.3f ms/plan  batched "
-      "%8.3f ms/plan  %5.2fx serial, %5.2fx batched\n",
+      "%8.3f ms/plan  %5.2fx serial, %5.2fx batched (paired %.2fx heap)\n",
       heap_ms, workspace_ms, batched_ms, heap_ms / workspace_ms,
-      heap_ms / batched_ms);
+      heap_ms / batched_ms, batched_over_heap.median);
   return obs::JsonWriter()
       .field("graphs", static_cast<double>(graphs.size()))
       .field("heap_ms_per_plan", heap_ms)
@@ -464,6 +462,7 @@ std::string plan_compute_record(core::PowerLens& framework,
       .field("speedup", heap_ms / workspace_ms)
       .field("batched_ms_per_plan", batched_ms)
       .field("batched_speedup_vs_serial", workspace_ms / batched_ms)
+      .field("batched_over_heap_paired", batched_over_heap.median)
       .str();
 }
 
@@ -553,43 +552,37 @@ std::string warm_path_record(const core::PowerLens& framework,
   constexpr int kHashIters = 200;
   constexpr int kHitIters = 20000;
   constexpr int kPasses = 20;
+  // Each lambda returns one sample, in microseconds per unit of work.
   const auto time_hash = [&] {
-    return best_of_ms(
-               [&] {
-                 for (int i = 0; i < kHashIters; ++i) {
-                   benchmark::DoNotOptimize(serve::graph_signature(graph));
-                 }
-               },
-               5) *
+    return bench::sample_ms([&] {
+             for (int i = 0; i < kHashIters; ++i) {
+               benchmark::DoNotOptimize(serve::graph_signature(graph));
+             }
+           }) *
            1e3 / kHashIters;
   };
   const auto time_hit = [&] {
-    return best_of_ms(
-               [&] {
-                 for (int i = 0; i < kHitIters; ++i) {
-                   benchmark::DoNotOptimize(
-                       cache.get_or_compute(sig, graph, no_compute));
-                 }
-               },
-               5) *
+    return bench::sample_ms([&] {
+             for (int i = 0; i < kHitIters; ++i) {
+               benchmark::DoNotOptimize(
+                   cache.get_or_compute(sig, graph, no_compute));
+             }
+           }) *
            1e3 / kHitIters;
   };
   hw::SimEngine engine(platform);
   // Every sample simulates kPasses passes in all, as one run or as
   // kPasses / passes runs, so both sides time the same amount of work.
   const auto time_sim = [&](int passes) {
-    return best_of_ms(
-               [&] {
-                 for (int run = 0; run < kPasses / passes; ++run) {
-                   baselines::OndemandGovernor cpu_governor;
-                   hw::RunPolicy policy = engine.default_policy();
-                   policy.schedule = &plan.schedule;
-                   policy.governor = &cpu_governor;
-                   benchmark::DoNotOptimize(
-                       engine.run(graph, passes, policy));
-                 }
-               },
-               5) *
+    return bench::sample_ms([&] {
+             for (int run = 0; run < kPasses / passes; ++run) {
+               baselines::OndemandGovernor cpu_governor;
+               hw::RunPolicy policy = engine.default_policy();
+               policy.schedule = &plan.schedule;
+               policy.governor = &cpu_governor;
+               benchmark::DoNotOptimize(engine.run(graph, passes, policy));
+             }
+           }) *
            1e3 / kPasses;
   };
   constexpr int kRequests = 48;
@@ -605,53 +598,55 @@ std::string warm_path_record(const core::PowerLens& framework,
   server.plan_cache().preload(
       sig, std::make_shared<const core::OptimizationPlan>(plan));
   const auto time_serve = [&] {
-    return best_of_ms([&] { benchmark::DoNotOptimize(server.serve(tasks)); },
-                      5) *
+    return bench::sample_ms(
+               [&] { benchmark::DoNotOptimize(server.serve(tasks)); }) *
            1e3 / kRequests;
   };
   const auto time_runs = [&] {
-    return best_of_ms(
-               [&] {
-                 for (int i = 0; i < kRequests; ++i) {
-                   baselines::OndemandGovernor cpu_governor;
-                   hw::RunPolicy policy = engine.default_policy();
-                   policy.schedule = &plan.schedule;
-                   policy.governor = &cpu_governor;
-                   benchmark::DoNotOptimize(
-                       engine.run(graph, kRequestPasses, policy));
-                 }
-               },
-               5) *
+    return bench::sample_ms([&] {
+             for (int i = 0; i < kRequests; ++i) {
+               baselines::OndemandGovernor cpu_governor;
+               hw::RunPolicy policy = engine.default_policy();
+               policy.schedule = &plan.schedule;
+               policy.governor = &cpu_governor;
+               benchmark::DoNotOptimize(
+                   engine.run(graph, kRequestPasses, policy));
+             }
+           }) *
            1e3 / kRequests;
   };
-  // Interleaved like plan_compute_record, keeping each side's minimum.
-  double hash_us = time_hash();
-  double hit_us = time_hit();
-  double sim_us = time_sim(kPasses);
-  double first_pass_us = time_sim(1);
-  double serve_us = time_serve();
-  double run_us = time_runs();
-  hash_us = std::min(hash_us, time_hash());
-  hit_us = std::min(hit_us, time_hit());
-  sim_us = std::min(sim_us, time_sim(kPasses));
-  first_pass_us = std::min(first_pass_us, time_sim(1));
-  serve_us = std::min(serve_us, time_serve());
-  run_us = std::min(run_us, time_runs());
+  // Each gated ratio is timed as adjacent pairs; the absolute fields are
+  // each side's fastest sample.
+  const bench::PairedRatio hash_over_hit =
+      bench::paired_ratio(time_hash, time_hit);
+  const bench::PairedRatio pass_over_first = bench::paired_ratio(
+      [&] { return time_sim(kPasses); }, [&] { return time_sim(1); });
+  const bench::PairedRatio serve_over_run =
+      bench::paired_ratio(time_serve, time_runs);
+  const double hash_us = hash_over_hit.a_min;
+  const double hit_us = hash_over_hit.b_min;
+  const double sim_us = pass_over_first.a_min;
+  const double first_pass_us = pass_over_first.b_min;
+  const double serve_us = serve_over_run.a_min;
+  const double run_us = serve_over_run.b_min;
   std::printf(
-      "warm path  signature %8.3f us  signature hit %8.3f us (%.1fx)  "
-      "sim %8.1f us/pass (1-pass run %8.1f us)\n"
-      "           serve %8.1f us/request  run %8.1f us/run (%.2fx)\n",
-      hash_us, hit_us, hash_us / hit_us, sim_us, first_pass_us, serve_us,
-      run_us, serve_us / run_us);
+      "warm path  signature %8.3f us  signature hit %8.3f us (paired %.1fx)  "
+      "sim %8.1f us/pass (1-pass run %8.1f us, paired %.2fx)\n"
+      "           serve %8.1f us/request  run %8.1f us/run (paired %.2fx)\n",
+      hash_us, hit_us, hash_over_hit.median, sim_us, first_pass_us,
+      pass_over_first.median, serve_us, run_us, serve_over_run.median);
   return obs::JsonWriter()
       .field("graph", graph.name())
       .field("signature_us", hash_us)
       .field("signature_hit_us", hit_us)
       .field("signature_over_hit", hash_us / hit_us)
+      .field("signature_over_hit_paired", hash_over_hit.median)
       .field("sim_us_per_pass", sim_us)
       .field("sim_us_first_pass", first_pass_us)
+      .field("sim_pass_over_first_paired", pass_over_first.median)
       .field("serve_us_per_request", serve_us)
       .field("sim_us_per_run", run_us)
+      .field("serve_over_run_paired", serve_over_run.median)
       .str();
 }
 

@@ -1,14 +1,14 @@
 // powerlens_cli: the framework as a command-line tool.
 //
-//   powerlens_cli train    <tx2|agx> <models.txt> [num_networks]
-//   powerlens_cli optimize <tx2|agx> <models.txt> <model> [batch]
+//   powerlens_cli train    <tx2|agx> <models.plbin> [num_networks]
+//   powerlens_cli optimize <tx2|agx> <models.plbin> <model> [batch]
 //   powerlens_cli profile  <tx2|agx> <model> [level] [batch]
-//   powerlens_cli run      <tx2|agx> <models.txt> <model> [passes] [batch]
-//   powerlens_cli serve    <tx2|agx> <models.txt|-> [tasks] [policy]
+//   powerlens_cli run      <tx2|agx> <models.plbin> <model> [passes] [batch]
+//   powerlens_cli serve    <tx2|agx> <models.plbin|-> [tasks] [policy]
 //                          [workers] [rate_hz]
 //   powerlens_cli models
 //   powerlens_cli export-graph <model> <out.plbin> [batch]
-//   powerlens_cli export-plans <tx2|agx> <models.txt> <out.plbin> [batch]
+//   powerlens_cli export-plans <tx2|agx> <models.plbin> <out.plbin> [batch]
 //   powerlens_cli export-costs <tx2|agx> <model> <out.plbin> [batch]
 //   powerlens_cli import <file.plbin>
 //
@@ -76,17 +76,17 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage:\n"
-               "  powerlens_cli train    <tx2|agx> <models.txt> [networks]\n"
-               "  powerlens_cli optimize <tx2|agx> <models.txt> <model> "
+               "  powerlens_cli train    <tx2|agx> <models.plbin> [networks]\n"
+               "  powerlens_cli optimize <tx2|agx> <models.plbin> <model> "
                "[batch]\n"
                "  powerlens_cli profile  <tx2|agx> <model> [level] [batch]\n"
-               "  powerlens_cli run      <tx2|agx> <models.txt> <model> "
+               "  powerlens_cli run      <tx2|agx> <models.plbin> <model> "
                "[passes] [batch]\n"
-               "  powerlens_cli serve    <tx2|agx> <models.txt|-> [tasks] "
+               "  powerlens_cli serve    <tx2|agx> <models.plbin|-> [tasks] "
                "[powerlens|maxn|bim|fpg-g|fpg-cg] [workers] [rate_hz]\n"
                "  powerlens_cli models\n"
                "  powerlens_cli export-graph <model> <out.plbin> [batch]\n"
-               "  powerlens_cli export-plans <tx2|agx> <models.txt> "
+               "  powerlens_cli export-plans <tx2|agx> <models.plbin> "
                "<out.plbin> [batch]\n"
                "  powerlens_cli export-costs <tx2|agx> <model> <out.plbin> "
                "[batch]\n"
@@ -305,6 +305,13 @@ int cmd_import(const std::string& path) {
                   loaded.mmapped ? "zero-copy mmap" : "heap read");
       std::printf("  %zu layers x %zu gpu levels\n",
                   loaded.table.num_layers(), loaded.table.gpu_levels());
+      return 0;
+    }
+    case io::RecordType::kModelBundle: {
+      const core::ModelBundle bundle = core::decode_model_bundle(bytes);
+      std::printf("%s: model-bundle record, %zu payload bytes\n",
+                  path.c_str(), info.payload_bytes);
+      std::printf("  trained for platform '%s'\n", bundle.platform.c_str());
       return 0;
     }
   }

@@ -31,9 +31,12 @@ std::size_t PowerView::block_of(std::size_t layer) const {
 std::string PowerView::to_string() const {
   std::string s = "PowerView{";
   for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    s += "[" + std::to_string(blocks_[i].begin) + "," +
-         std::to_string(blocks_[i].end) + ")";
-    if (i + 1 < blocks_.size()) s += " ";
+    if (i > 0) s += ' ';
+    s += '[';
+    s += std::to_string(blocks_[i].begin);
+    s += ',';
+    s += std::to_string(blocks_[i].end);
+    s += ')';
   }
   s += "}";
   return s;

@@ -3,7 +3,7 @@
 #include "features/depthwise.hpp"
 #include "hw/analytic.hpp"
 #include "hw/cost_table.hpp"
-#include "nn/serialize.hpp"
+#include "io/binary.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -12,8 +12,6 @@
 #include <array>
 #include <chrono>
 #include <cmath>
-#include <fstream>
-#include <locale>
 #include <numeric>
 #include <stdexcept>
 
@@ -136,13 +134,13 @@ int PredictionModel::predict(const features::GlobalFeatures& features,
   return mlp_->predict_one(*xs, *xt, w);
 }
 
-void PredictionModel::save(std::ostream& os) const {
+void PredictionModel::encode(io::Writer& w) const {
   if (!trained()) {
-    throw std::logic_error("PredictionModel: save before fit");
+    throw std::logic_error("PredictionModel: encode before fit");
   }
-  scaler_structural_.save(os);
-  scaler_statistics_.save(os);
-  mlp_->save(os);
+  scaler_structural_.encode(w);
+  scaler_statistics_.encode(w);
+  mlp_->encode(w);
 }
 
 nn::TrainReport PredictionModel::refit(const nn::Dataset& rows,
@@ -158,12 +156,54 @@ nn::TrainReport PredictionModel::refit(const nn::Dataset& rows,
   return nn::refit(*mlp_, scaled, config, seed);
 }
 
-PredictionModel PredictionModel::load(std::istream& is) {
+PredictionModel PredictionModel::decode(io::Cursor& c) {
   PredictionModel m;
-  m.scaler_structural_ = linalg::StandardScaler::load(is);
-  m.scaler_statistics_ = linalg::StandardScaler::load(is);
-  m.mlp_.emplace(nn::TwoStageMlp::load(is));
+  m.scaler_structural_ = linalg::StandardScaler::decode(c);
+  m.scaler_statistics_ = linalg::StandardScaler::decode(c);
+  m.mlp_.emplace(nn::TwoStageMlp::decode(c));
+  if (m.scaler_structural_.means().size() != m.mlp_->config().structural_dim ||
+      m.scaler_statistics_.means().size() != m.mlp_->config().statistics_dim) {
+    throw io::MalformedError("PredictionModel: scaler length is not the MLP "
+                             "input dimension");
+  }
   return m;
+}
+
+void PredictionModel::expect_shape(std::size_t structural_dim,
+                                   std::size_t statistics_dim,
+                                   std::size_t num_classes,
+                                   const char* what) const {
+  const nn::TwoStageMlpConfig& c = mlp_->config();
+  if (c.structural_dim != structural_dim ||
+      c.statistics_dim != statistics_dim) {
+    throw io::MalformedError(
+        std::string(what) + " takes " + std::to_string(c.structural_dim) +
+        "+" + std::to_string(c.statistics_dim) + " features, not " +
+        std::to_string(structural_dim) + "+" + std::to_string(statistics_dim));
+  }
+  if (c.num_classes != num_classes) {
+    throw io::MalformedError(std::string(what) + " predicts " +
+                             std::to_string(c.num_classes) +
+                             " classes, not " + std::to_string(num_classes));
+  }
+}
+
+std::vector<std::byte> encode_model_bundle(std::string_view platform,
+                                           const PredictionModel& hyper,
+                                           const PredictionModel& decision) {
+  io::Writer w;
+  w.str(platform);
+  hyper.encode(w);
+  decision.encode(w);
+  return io::frame_record(io::RecordType::kModelBundle, w.take());
+}
+
+ModelBundle decode_model_bundle(std::span<const std::byte> record) {
+  io::Cursor c(io::parse_record(record, io::RecordType::kModelBundle).payload);
+  ModelBundle b{c.str(), PredictionModel::decode(c),
+                PredictionModel::decode(c)};
+  c.expect_done("model bundle");
+  return b;
 }
 
 PowerLens::PowerLens(const hw::Platform& platform, PowerLensConfig config)
@@ -519,45 +559,22 @@ void PowerLens::save_models(const std::string& path) const {
   if (!trained()) {
     throw std::logic_error("PowerLens: save_models before train");
   }
-  std::ofstream os(path);
-  if (!os) {
-    throw std::runtime_error("PowerLens: cannot open '" + path +
-                             "' for writing");
-  }
-  // The bundle format is locale-independent: a freshly opened stream
-  // inherits the process-global locale, so pin the classic one before any
-  // numeric output (the nn::serialize primitives pin their own streams too,
-  // but the header line is written here).
-  os.imbue(std::locale::classic());
-  os << "powerlens-models 1 " << platform_->name << "\n";
-  hyper_model_.save(os);
-  decision_model_.save(os);
-  if (!os) {
-    throw std::runtime_error("PowerLens: write to '" + path + "' failed");
-  }
+  io::write_file(path, encode_model_bundle(platform_->name, hyper_model_,
+                                           decision_model_));
 }
 
 void PowerLens::load_models(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) {
-    throw std::runtime_error("PowerLens: cannot open '" + path + "'");
+  ModelBundle b = decode_model_bundle(io::read_file(path));
+  if (b.platform != platform_->name) {
+    throw io::MalformedError("model bundle was trained for platform '" +
+                             b.platform + "', not '" + platform_->name + "'");
   }
-  is.imbue(std::locale::classic());
-  std::string magic;
-  int version = 0;
-  std::string platform_name;
-  if (!(is >> magic >> version >> platform_name) ||
-      magic != "powerlens-models" || version != 1) {
-    throw std::runtime_error("PowerLens: '" + path +
-                             "' is not a model bundle");
-  }
-  if (platform_name != platform_->name) {
-    throw std::runtime_error(
-        "PowerLens: model bundle was trained for platform '" + platform_name +
-        "', not '" + platform_->name + "'");
-  }
-  hyper_model_ = PredictionModel::load(is);
-  decision_model_ = PredictionModel::load(is);
+  b.hyper.expect_shape(features::kStructuralDim, features::kStatisticsDim,
+                       config_.dataset.grid.size(), "hyperparameter model");
+  b.decision.expect_shape(features::kStructuralDim, features::kStatisticsDim,
+                          platform_->gpu_levels(), "decision model");
+  hyper_model_ = std::move(b.hyper);
+  decision_model_ = std::move(b.decision);
 }
 
 }  // namespace powerlens::core

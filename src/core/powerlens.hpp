@@ -26,13 +26,14 @@
 #include "nn/mlp.hpp"
 #include "nn/trainer.hpp"
 
+#include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace powerlens::core {
@@ -61,10 +62,18 @@ class PredictionModel {
   int predict(const features::GlobalFeatures& features,
               linalg::Workspace* ws = nullptr) const;
 
-  // Text serialization of a trained predictor (scalers + MLP). save()
-  // throws std::logic_error before fit().
-  void save(std::ostream& os) const;
-  static PredictionModel load(std::istream& is);
+  // .plbin encoding of a trained predictor: the structural scaler, the
+  // statistics scaler, then the MLP. encode() throws std::logic_error
+  // before fit(). decode() throws io::MalformedError when a scaler's length
+  // is not its MLP input's dimension.
+  void encode(io::Writer& w) const;
+  static PredictionModel decode(io::Cursor& c);
+
+  // Throws io::MalformedError naming `what` unless the trained MLP takes
+  // `structural_dim` + `statistics_dim` features and predicts
+  // `num_classes` classes.
+  void expect_shape(std::size_t structural_dim, std::size_t statistics_dim,
+                    std::size_t num_classes, const char* what) const;
 
   // Incremental online refit: continues training the MLP from its current
   // weights on freshly harvested rows, with the input scalers FROZEN (they
@@ -80,6 +89,23 @@ class PredictionModel {
   linalg::StandardScaler scaler_statistics_;
   std::optional<nn::TwoStageMlp> mlp_;
 };
+
+// A trained model pair as it crosses a process boundary: one checksummed
+// io::RecordType::kModelBundle record holding the platform name, the
+// hyperparameter model and the decision model.
+struct ModelBundle {
+  std::string platform;
+  PredictionModel hyper;
+  PredictionModel decision;
+};
+
+std::vector<std::byte> encode_model_bundle(std::string_view platform,
+                                           const PredictionModel& hyper,
+                                           const PredictionModel& decision);
+// Validates the record (io::parse_record) and decodes the pair; every
+// malformed input fails with an io::Error. Checks nothing against a
+// framework — PowerLens::load_models does that.
+ModelBundle decode_model_bundle(std::span<const std::byte> record);
 
 struct PowerLensConfig {
   DatasetGenConfig dataset;
@@ -212,9 +238,14 @@ class PowerLens {
                                  const nn::TrainConfig& config,
                                  std::uint64_t seed);
 
-  // Persists / restores the trained model pair, so deployments skip the
-  // offline phase. Throws std::logic_error if untrained /
-  // std::runtime_error on malformed files.
+  // Persists / restores the trained model pair as a model-bundle record,
+  // so deployments skip the offline phase. save_models throws
+  // std::logic_error if untrained. load_models throws std::runtime_error
+  // when the file cannot be read, an io::Error on a malformed record, and
+  // io::MalformedError when the bundle does not fit this framework: another
+  // platform, a class count other than the hyperparameter grid's size or
+  // the platform's GPU level count, or input dimensions other than
+  // features::kStructuralDim / kStatisticsDim.
   void save_models(const std::string& path) const;
   void load_models(const std::string& path);
 

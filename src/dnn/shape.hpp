@@ -28,9 +28,16 @@ struct TensorShape {
 
   constexpr bool operator==(const TensorShape&) const noexcept = default;
 
+  // Appends in place: GCC 12 misreports the chained operator+ temporaries
+  // as an overlapping memcpy (-Wrestrict).
   std::string to_string() const {
-    return "(" + std::to_string(n) + ", " + std::to_string(c) + ", " +
-           std::to_string(h) + ", " + std::to_string(w) + ")";
+    std::string s = "(";
+    for (std::int64_t d : {n, c, h, w}) {
+      if (s.size() > 1) s += ", ";
+      s += std::to_string(d);
+    }
+    s += ')';
+    return s;
   }
 };
 

@@ -12,6 +12,7 @@ const char* record_type_name(RecordType type) noexcept {
     case RecordType::kGraph: return "graph";
     case RecordType::kPlan: return "plan";
     case RecordType::kCostTable: return "cost_table";
+    case RecordType::kModelBundle: return "model_bundle";
   }
   return "unknown";
 }
@@ -45,6 +46,11 @@ void Writer::u64(std::uint64_t v) {
 void Writer::i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
 
 void Writer::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+
+void Writer::f64s(std::span<const double> v) {
+  u64(v.size());
+  for (double x : v) f64(x);
+}
 
 void Writer::str(std::string_view s) {
   if (s.size() > std::numeric_limits<std::uint32_t>::max()) {
@@ -100,6 +106,12 @@ std::uint64_t Cursor::u64() {
 std::int64_t Cursor::i64() { return static_cast<std::int64_t>(u64()); }
 
 double Cursor::f64() { return std::bit_cast<double>(u64()); }
+
+std::vector<double> Cursor::f64s() {
+  std::vector<double> v(count(sizeof(double)));
+  for (double& x : v) x = f64();
+  return v;
+}
 
 std::string Cursor::str() {
   const std::uint32_t n = u32();
@@ -181,9 +193,8 @@ RecordView parse_record(std::span<const std::byte> data) {
                                std::to_string(kFormatVersion));
   }
   const std::uint16_t raw_type = header.u16();
-  if (raw_type != static_cast<std::uint16_t>(RecordType::kGraph) &&
-      raw_type != static_cast<std::uint16_t>(RecordType::kPlan) &&
-      raw_type != static_cast<std::uint16_t>(RecordType::kCostTable)) {
+  if (raw_type < static_cast<std::uint16_t>(RecordType::kGraph) ||
+      raw_type > static_cast<std::uint16_t>(RecordType::kModelBundle)) {
     throw WrongRecordTypeError("unknown record type " +
                                std::to_string(raw_type));
   }

@@ -1,4 +1,8 @@
-// Byte-level primitives of the PowerLens binary interchange (.plbin).
+// Byte-level primitives of the PowerLens binary interchange (.plbin), the
+// one persistence format for every artifact that crosses a process
+// boundary: graphs, plans and cost tables (io/interchange.hpp) and trained
+// model bundles (core::encode_model_bundle). A leaf library (pl_binary), so
+// the linalg, nn and core layers encode their own objects.
 //
 // The wire format is pinned, not host-defined:
 //   - every multi-byte integer is little-endian, assembled/split by explicit
@@ -48,6 +52,7 @@ enum class RecordType : std::uint16_t {
   kGraph = 1,
   kPlan = 2,
   kCostTable = 3,
+  kModelBundle = 4,
 };
 
 const char* record_type_name(RecordType type) noexcept;
@@ -64,6 +69,8 @@ class Writer {
   void u64(std::uint64_t v);
   void i64(std::int64_t v);  // two's-complement u64
   void f64(double v);        // IEEE-754 bit pattern
+  // u64 element count + the values.
+  void f64s(std::span<const double> v);
   // u32 byte length + raw bytes (no terminator).
   void str(std::string_view s);
   void bytes(std::span<const std::byte> b);
@@ -89,6 +96,8 @@ class Cursor {
   std::uint64_t u64();
   std::int64_t i64();
   double f64();
+  // A Writer::f64s array; the count is bounded by count() before allocating.
+  std::vector<double> f64s();
   std::string str();
   std::span<const std::byte> bytes(std::size_t n);
   // Skips padding so that (file_base + offset()) is a multiple of `align`.

@@ -454,6 +454,11 @@ int fuzz_try_decode(std::span<const std::byte> bytes) {
     ++accepted;
   } catch (const Error&) {
   }
+  try {
+    (void)core::decode_model_bundle(bytes);
+    ++accepted;
+  } catch (const Error&) {
+  }
   return accepted;
 }
 

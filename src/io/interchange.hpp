@@ -12,6 +12,9 @@
 //                           zero-copy mmap (heap-read fallback everywhere
 //                           else).
 //
+// The fourth record type, the trained model bundle, sits below this layer
+// (core::encode_model_bundle) on the same byte primitives (io/binary.hpp).
+//
 // Encode/decode work on in-memory byte buffers (what the fuzz harness
 // mutates); save/load wrap them in whole-file helpers. Every decoder
 // validates magic → version → type → bounds → checksum before touching the
@@ -108,11 +111,11 @@ struct RecordInfo {
 RecordInfo inspect_record(std::span<const std::byte> bytes);
 
 // Fuzz entry point shared by tools/plfuzz and the libFuzzer target: tries
-// to decode `bytes` as a graph, a plan, and a cost table. io::Error is the
-// expected outcome for malformed input and is swallowed; any other
-// exception escapes (the fuzz driver's failure signal). Returns how many of
-// the three decoders accepted the input (0 for garbage, 1 for a valid
-// record).
+// to decode `bytes` as a graph, a plan, a cost table and a model bundle
+// (core::decode_model_bundle). io::Error is the expected outcome for
+// malformed input and is swallowed; any other exception escapes (the fuzz
+// driver's failure signal). Returns how many of the four decoders accepted
+// the input (0 for garbage, 1 for a valid record).
 int fuzz_try_decode(std::span<const std::byte> bytes);
 
 }  // namespace powerlens::io

@@ -1,5 +1,6 @@
 #include "linalg/matrix.hpp"
 
+#include "io/binary.hpp"
 #include "linalg/kernels.hpp"
 
 #include <algorithm>
@@ -136,6 +137,25 @@ std::string Matrix::to_string() const {
     os << (r + 1 == rows_ ? "]" : "\n");
   }
   return os.str();
+}
+
+void Matrix::encode(io::Writer& w) const {
+  w.u64(rows_);
+  w.u64(cols_);
+  for (double v : data_) w.f64(v);
+}
+
+Matrix Matrix::decode(io::Cursor& c) {
+  const std::uint64_t rows = c.u64();
+  const std::uint64_t cols = c.u64();
+  if (rows != 0 && cols > c.remaining() / sizeof(double) / rows) {
+    throw io::TruncatedError("matrix " + std::to_string(rows) + "x" +
+                             std::to_string(cols) + " cannot fit in " +
+                             std::to_string(c.remaining()) + " bytes");
+  }
+  Matrix m(rows, cols);
+  for (double& v : m.data_) v = c.f64();
+  return m;
 }
 
 std::vector<double> mat_vec(const Matrix& m, std::span<const double> x) {

@@ -13,6 +13,11 @@
 #include <string>
 #include <vector>
 
+namespace powerlens::io {
+class Writer;
+class Cursor;
+}  // namespace powerlens::io
+
 namespace powerlens::linalg {
 
 class Matrix {
@@ -87,6 +92,12 @@ class Matrix {
   double frobenius_norm() const noexcept;
 
   std::string to_string() const;
+
+  // .plbin encoding: u64 rows, u64 cols, then the row-major values. decode
+  // throws io::TruncatedError, before allocating, when rows x cols values
+  // cannot fit in the cursor's remaining bytes.
+  void encode(io::Writer& w) const;
+  static Matrix decode(io::Cursor& c);
 
  private:
   std::size_t rows_ = 0;

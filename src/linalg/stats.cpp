@@ -1,13 +1,9 @@
 #include "linalg/stats.hpp"
 
+#include "io/binary.hpp"
+
 #include <cmath>
-#include <iomanip>
-#include <istream>
-#include <limits>
-#include <locale>
-#include <ostream>
 #include <stdexcept>
-#include <string>
 
 namespace powerlens::linalg {
 
@@ -120,33 +116,19 @@ Matrix StandardScaler::fit_transform(const Matrix& samples) {
   return transform(samples);
 }
 
-void StandardScaler::save(std::ostream& os) const {
-  // Pin the classic "C" locale: a process-global locale with digit grouping
-  // or an alternate decimal point must not leak into the model file format.
-  os.imbue(std::locale::classic());
-  os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  os << "scaler " << means_.size();
-  for (double m : means_) os << ' ' << m;
-  for (double s : stddevs_) os << ' ' << s;
-  os << '\n';
+void StandardScaler::encode(io::Writer& w) const {
+  w.u64(means_.size());
+  for (double m : means_) w.f64(m);
+  for (double s : stddevs_) w.f64(s);
 }
 
-StandardScaler StandardScaler::load(std::istream& is) {
-  is.imbue(std::locale::classic());
-  std::string tag;
-  std::size_t n = 0;
-  if (!(is >> tag >> n) || tag != "scaler") {
-    throw std::runtime_error("StandardScaler::load: bad header");
-  }
+StandardScaler StandardScaler::decode(io::Cursor& c) {
   StandardScaler s;
-  s.means_.resize(n);
-  s.stddevs_.resize(n);
-  for (double& v : s.means_) {
-    if (!(is >> v)) throw std::runtime_error("StandardScaler::load: truncated");
-  }
-  for (double& v : s.stddevs_) {
-    if (!(is >> v)) throw std::runtime_error("StandardScaler::load: truncated");
-  }
+  // Two doubles per feature: the count is bounded before either array grows.
+  s.means_.resize(c.count(2 * sizeof(double)));
+  s.stddevs_.resize(s.means_.size());
+  for (double& v : s.means_) v = c.f64();
+  for (double& v : s.stddevs_) v = c.f64();
   return s;
 }
 

@@ -7,7 +7,6 @@
 
 #include "linalg/matrix.hpp"
 
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -48,9 +47,10 @@ class StandardScaler {
   std::span<const double> means() const noexcept { return means_; }
   std::span<const double> stddevs() const noexcept { return stddevs_; }
 
-  // Text serialization of the fitted parameters.
-  void save(std::ostream& os) const;
-  static StandardScaler load(std::istream& is);
+  // .plbin encoding of the fitted parameters: u64 feature count, the
+  // means, then the stddevs.
+  void encode(io::Writer& w) const;
+  static StandardScaler decode(io::Cursor& c);
 
  private:
   std::vector<double> means_;

@@ -1,7 +1,7 @@
 #include "nn/mlp.hpp"
 
+#include "io/binary.hpp"
 #include "linalg/kernels.hpp"
-#include "nn/serialize.hpp"
 #include "nn/tensor.hpp"
 
 #include <cmath>
@@ -241,70 +241,80 @@ int TwoStageMlp::predict_one(const linalg::Matrix& structural,
   return static_cast<int>(best);
 }
 
-void DenseLayer::save(std::ostream& os) const {
-  write_scalar(os, "relu", relu_ ? 1 : 0);
-  write_matrix(os, "w", w_);
-  write_vector(os, "b", b_);
-  write_matrix(os, "m_w", m_w_);
-  write_matrix(os, "v_w", v_w_);
-  write_vector(os, "m_b", m_b_);
-  write_vector(os, "v_b", v_b_);
+void DenseLayer::encode(io::Writer& w) const {
+  w.u8(relu_ ? 1 : 0);
+  w_.encode(w);
+  w.f64s(b_);
+  m_w_.encode(w);
+  v_w_.encode(w);
+  w.f64s(m_b_);
+  w.f64s(v_b_);
 }
 
-DenseLayer DenseLayer::load(std::istream& is) {
+DenseLayer DenseLayer::decode(io::Cursor& c) {
   DenseLayer l;
-  l.relu_ = read_scalar(is, "relu") != 0;
-  l.w_ = read_matrix(is, "w");
-  l.b_ = read_vector(is, "b");
-  l.m_w_ = read_matrix(is, "m_w");
-  l.v_w_ = read_matrix(is, "v_w");
-  l.m_b_ = read_vector(is, "m_b");
-  l.v_b_ = read_vector(is, "v_b");
-  if (l.w_.rows() != l.b_.size() || l.m_w_.rows() != l.w_.rows() ||
-      l.v_w_.cols() != l.w_.cols()) {
-    throw std::runtime_error("DenseLayer::load: inconsistent shapes");
+  const std::uint8_t relu = c.u8();
+  if (relu > 1) throw io::MalformedError("DenseLayer: bad ReLU flag");
+  l.relu_ = relu == 1;
+  l.w_ = linalg::Matrix::decode(c);
+  l.b_ = c.f64s();
+  l.m_w_ = linalg::Matrix::decode(c);
+  l.v_w_ = linalg::Matrix::decode(c);
+  l.m_b_ = c.f64s();
+  l.v_b_ = c.f64s();
+  const auto same_shape = [&](const linalg::Matrix& m) {
+    return m.rows() == l.w_.rows() && m.cols() == l.w_.cols();
+  };
+  if (l.w_.empty() || l.b_.size() != l.w_.rows() || !same_shape(l.m_w_) ||
+      !same_shape(l.v_w_) || l.m_b_.size() != l.b_.size() ||
+      l.v_b_.size() != l.b_.size()) {
+    throw io::MalformedError("DenseLayer: inconsistent shapes");
   }
   l.grad_w_ = linalg::Matrix(l.w_.rows(), l.w_.cols());
   l.grad_b_.assign(l.b_.size(), 0.0);
   return l;
 }
 
-void TwoStageMlp::save(std::ostream& os) const {
-  write_scalar(os, "structural_dim",
-               static_cast<long long>(config_.structural_dim));
-  write_scalar(os, "statistics_dim",
-               static_cast<long long>(config_.statistics_dim));
-  write_scalar(os, "hidden1", static_cast<long long>(config_.hidden1));
-  write_scalar(os, "hidden2", static_cast<long long>(config_.hidden2));
-  write_scalar(os, "hidden3", static_cast<long long>(config_.hidden3));
-  write_scalar(os, "num_classes",
-               static_cast<long long>(config_.num_classes));
-  write_scalar(os, "adam_t", adam_t_);
-  stage1_a_.save(os);
-  stage1_b_.save(os);
-  stage2_a_.save(os);
-  head_.save(os);
+void TwoStageMlp::encode(io::Writer& w) const {
+  for (std::size_t dim :
+       {config_.structural_dim, config_.statistics_dim, config_.hidden1,
+        config_.hidden2, config_.hidden3, config_.num_classes}) {
+    w.u64(dim);
+  }
+  w.i64(adam_t_);
+  stage1_a_.encode(w);
+  stage1_b_.encode(w);
+  stage2_a_.encode(w);
+  head_.encode(w);
 }
 
-TwoStageMlp TwoStageMlp::load(std::istream& is) {
-  TwoStageMlpConfig cfg;
-  cfg.structural_dim =
-      static_cast<std::size_t>(read_scalar(is, "structural_dim"));
-  cfg.statistics_dim =
-      static_cast<std::size_t>(read_scalar(is, "statistics_dim"));
-  cfg.hidden1 = static_cast<std::size_t>(read_scalar(is, "hidden1"));
-  cfg.hidden2 = static_cast<std::size_t>(read_scalar(is, "hidden2"));
-  cfg.hidden3 = static_cast<std::size_t>(read_scalar(is, "hidden3"));
-  cfg.num_classes = static_cast<std::size_t>(read_scalar(is, "num_classes"));
-  TwoStageMlp m(cfg);
-  m.adam_t_ = read_scalar(is, "adam_t");
-  m.stage1_a_ = DenseLayer::load(is);
-  m.stage1_b_ = DenseLayer::load(is);
-  m.stage2_a_ = DenseLayer::load(is);
-  m.head_ = DenseLayer::load(is);
-  if (m.stage1_a_.in_dim() != cfg.structural_dim ||
-      m.head_.out_dim() != cfg.num_classes) {
-    throw std::runtime_error("TwoStageMlp::load: topology mismatch");
+TwoStageMlp TwoStageMlp::decode(io::Cursor& c) {
+  TwoStageMlp m;
+  TwoStageMlpConfig& cfg = m.config_;
+  for (std::size_t* dim : {&cfg.structural_dim, &cfg.statistics_dim,
+                           &cfg.hidden1, &cfg.hidden2, &cfg.hidden3,
+                           &cfg.num_classes}) {
+    *dim = c.u64();
+  }
+  m.adam_t_ = c.i64();
+  m.stage1_a_ = DenseLayer::decode(c);
+  m.stage1_b_ = DenseLayer::decode(c);
+  m.stage2_a_ = DenseLayer::decode(c);
+  m.head_ = DenseLayer::decode(c);
+  // The dims are unchecked u64s, so stage2_a's input splits by subtraction
+  // rather than summing two of them.
+  const std::size_t stage2_in = m.stage2_a_.in_dim();
+  const auto chains = [](const DenseLayer& l, std::size_t in,
+                         std::size_t out) {
+    return l.in_dim() == in && l.out_dim() == out;
+  };
+  if (!chains(m.stage1_a_, cfg.structural_dim, cfg.hidden1) ||
+      !chains(m.stage1_b_, cfg.hidden1, cfg.hidden2) ||
+      stage2_in <= cfg.hidden2 ||
+      stage2_in - cfg.hidden2 != cfg.statistics_dim ||
+      m.stage2_a_.out_dim() != cfg.hidden3 ||
+      !chains(m.head_, cfg.hidden3, cfg.num_classes)) {
+    throw io::MalformedError("TwoStageMlp: topology mismatch");
   }
   return m;
 }

@@ -15,7 +15,6 @@
 #include "linalg/workspace.hpp"
 
 #include <cstdint>
-#include <iosfwd>
 #include <random>
 #include <vector>
 
@@ -54,12 +53,15 @@ class DenseLayer {
   std::size_t out_dim() const noexcept { return w_.rows(); }
   const linalg::Matrix& weights() const noexcept { return w_; }
 
-  // Text serialization (weights, bias, ReLU flag, Adam moments).
-  void save(std::ostream& os) const;
-  static DenseLayer load(std::istream& is);
+  // .plbin encoding: u8 ReLU flag, then w, b, m_w, v_w, m_b, v_b (the Adam
+  // moments). decode throws io::MalformedError on a zero dimension or when
+  // a bias or moment shape disagrees with w.
+  void encode(io::Writer& w) const;
+  static DenseLayer decode(io::Cursor& c);
 
  private:
-  DenseLayer() = default;  // for load()
+  friend class TwoStageMlp;  // default-constructs its layers for decode()
+  DenseLayer() = default;    // for decode()
   // out = x·wᵀ + b via the fused kernel, optionally with the ReLU epilogue.
   void affine_into(const linalg::Matrix& x, linalg::Matrix& out,
                    bool relu) const;
@@ -126,11 +128,16 @@ class TwoStageMlp {
 
   const TwoStageMlpConfig& config() const noexcept { return config_; }
 
-  // Text serialization of the full model (topology + all four layers).
-  void save(std::ostream& os) const;
-  static TwoStageMlp load(std::istream& is);
+  // .plbin encoding of the full model: u64 structural_dim, statistics_dim,
+  // hidden1-3 and num_classes, i64 Adam step, then the four layers. decode
+  // throws io::MalformedError when the layers do not chain into that
+  // topology; it allocates only what the layers' own counts bound.
+  void encode(io::Writer& w) const;
+  static TwoStageMlp decode(io::Cursor& c);
 
  private:
+  TwoStageMlp() = default;  // for decode()
+
   TwoStageMlpConfig config_;
   std::mt19937_64 rng_;  // must precede the layers: they draw init weights
   DenseLayer stage1_a_;  // structural -> hidden1

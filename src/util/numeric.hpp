@@ -2,12 +2,11 @@
 //
 // std::strtod / std::to_string / printf-family formatting all read the
 // process C locale (LC_NUMERIC): under a comma-decimal locale, "0.1" stops
-// parsing at the '.' and 0.1 formats as "0,1". Every grammar and wire
-// format in this repo (fault specs, JSON, serialized models) is defined in
-// the classic locale, so parsing and formatting route through
-// std::from_chars / std::to_chars, which are locale-independent by
-// specification — the same treatment PR 8 gave the C++-stream serializers
-// via imbue(std::locale::classic()).
+// parsing at the '.' and 0.1 formats as "0,1". Every text grammar in this
+// repo (fault specs, JSON) is defined in the classic locale, so parsing and
+// formatting route through std::from_chars / std::to_chars, which are
+// locale-independent by specification. Persisted models are binary .plbin
+// records (io/binary.hpp) and never format a number as text.
 #pragma once
 
 #include <charconv>

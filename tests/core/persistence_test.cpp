@@ -3,6 +3,7 @@
 #include "core/powerlens.hpp"
 
 #include "dnn/models.hpp"
+#include "io/binary.hpp"
 
 #include <gtest/gtest.h>
 
@@ -38,7 +39,7 @@ class PersistenceTest : public ::testing::Test {
     // each other's save files.
     return ::testing::TempDir() + "powerlens_models_" +
            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-           ".txt";
+           ".plbin";
   }
 
   static hw::Platform* platform_;
@@ -75,7 +76,7 @@ TEST_F(PersistenceTest, SaveBeforeTrainThrows) {
 
 TEST_F(PersistenceTest, LoadMissingFileThrows) {
   PowerLens p(*platform_, {});
-  EXPECT_THROW(p.load_models("/nonexistent/dir/models.txt"),
+  EXPECT_THROW(p.load_models("/nonexistent/dir/models.plbin"),
                std::runtime_error);
 }
 
@@ -87,9 +88,9 @@ TEST_F(PersistenceTest, LoadRejectsWrongPlatformBundle) {
 }
 
 // A numpunct facet in the spirit of de_DE: ',' decimal point and '.'
-// grouping every three digits. Installed process-globally it would, without
-// the locale pins in the persistence code, format 1234.5 as "1.234,5" on
-// save and fail to parse "-" + digits runs on load.
+// grouping every three digits. Installed process-globally it formats 1234.5
+// as "1.234,5" in any fresh stream, so a bundle that went through text
+// formatting would differ between locales.
 class CommaDecimalPunct : public std::numpunct<char> {
  protected:
   char do_decimal_point() const override { return ','; }
@@ -143,8 +144,8 @@ TEST_F(PersistenceTest, SaveLoadImmuneToHostileGlobalLocale) {
   }
 
   // Bytes written under the hostile locale must equal bytes written under
-  // the classic one — the pins make the format locale-independent, not
-  // merely self-consistent.
+  // the classic one — the format is locale-independent, not merely
+  // self-consistent.
   const auto slurp = [](const std::string& p) {
     std::ifstream is(p, std::ios::binary);
     return std::string(std::istreambuf_iterator<char>(is),
@@ -174,8 +175,114 @@ TEST_F(PersistenceTest, LoadRejectsGarbageFile) {
     std::fclose(f);
   }
   PowerLens p(*platform_, {});
-  EXPECT_THROW(p.load_models(garbage), std::runtime_error);
+  EXPECT_THROW(p.load_models(garbage), io::BadMagicError);
   std::remove(garbage.c_str());
+}
+
+// Shapes of one predictor slot in a hand-built bundle.
+struct SlotShape {
+  std::size_t structural_scaler = features::kStructuralDim;
+  std::size_t statistics_scaler = features::kStatisticsDim;
+  std::size_t structural_dim = features::kStructuralDim;
+  std::size_t statistics_dim = features::kStatisticsDim;
+  std::size_t num_classes = 0;
+};
+
+void encode_slot(io::Writer& w, const SlotShape& shape) {
+  for (std::size_t n : {shape.structural_scaler, shape.statistics_scaler}) {
+    linalg::StandardScaler scaler;
+    scaler.fit(linalg::Matrix(2, n, 1.0));
+    scaler.encode(w);
+  }
+  nn::TwoStageMlpConfig cfg;
+  cfg.structural_dim = shape.structural_dim;
+  cfg.statistics_dim = shape.statistics_dim;
+  cfg.hidden1 = cfg.hidden2 = cfg.hidden3 = 4;
+  cfg.num_classes = shape.num_classes;
+  nn::TwoStageMlp(cfg).encode(w);
+}
+
+// Bundles checked against the framework at load, without training one.
+class BundleValidationTest : public ::testing::Test {
+ protected:
+  void TearDown() override { std::remove(path().c_str()); }
+  static std::string path() {
+    return ::testing::TempDir() + "powerlens_bundle_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+           ".plbin";
+  }
+  SlotShape hyper_shape() const {
+    SlotShape s;
+    s.num_classes = PowerLensConfig{}.dataset.grid.size();
+    return s;
+  }
+  SlotShape decision_shape() const {
+    SlotShape s;
+    s.num_classes = platform_.gpu_levels();
+    return s;
+  }
+  // Writes a bundle with the given slot shapes and loads it into a fresh
+  // framework.
+  void load(const SlotShape& hyper, const SlotShape& decision) const {
+    io::Writer w;
+    w.str(platform_.name);
+    encode_slot(w, hyper);
+    encode_slot(w, decision);
+    io::write_file(path(),
+                   io::frame_record(io::RecordType::kModelBundle, w.take()));
+    PowerLens p(platform_, {});
+    p.load_models(path());
+  }
+
+  const hw::Platform platform_ = hw::make_tx2();
+};
+
+// The text bundle format this repository used to write is not a .plbin
+// record; there is no fallback reader.
+TEST_F(BundleValidationTest, LegacyTextBundleIsBadMagic) {
+  {
+    FILE* f = std::fopen(path().c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs("powerlens-models 1 tx2\nscaler 2305843009213693951\n", f);
+    std::fclose(f);
+  }
+  PowerLens p(platform_, {});
+  EXPECT_THROW(p.load_models(path()), io::BadMagicError);
+  EXPECT_FALSE(p.trained());
+}
+
+TEST_F(BundleValidationTest, WellShapedBundleLoads) {
+  EXPECT_NO_THROW(load(hyper_shape(), decision_shape()));
+}
+
+TEST_F(BundleValidationTest, HyperClassCountMustMatchTheGrid) {
+  SlotShape hyper = hyper_shape();
+  hyper.num_classes += 1;
+  EXPECT_THROW(load(hyper, decision_shape()), io::MalformedError);
+}
+
+TEST_F(BundleValidationTest, DecisionClassCountMustMatchTheGpuLevels) {
+  SlotShape decision = decision_shape();
+  decision.num_classes -= 1;
+  EXPECT_THROW(load(hyper_shape(), decision), io::MalformedError);
+}
+
+TEST_F(BundleValidationTest, MlpInputDimsMustMatchTheFeatures) {
+  SlotShape hyper = hyper_shape();
+  hyper.structural_dim = hyper.structural_scaler = 3;
+  EXPECT_THROW(load(hyper, decision_shape()), io::MalformedError);
+  SlotShape decision = decision_shape();
+  decision.statistics_dim = decision.statistics_scaler = 3;
+  EXPECT_THROW(load(hyper_shape(), decision), io::MalformedError);
+}
+
+TEST_F(BundleValidationTest, ScalerLengthMustMatchTheMlpInput) {
+  SlotShape hyper = hyper_shape();
+  hyper.structural_scaler -= 1;
+  EXPECT_THROW(load(hyper, decision_shape()), io::MalformedError);
+  SlotShape decision = decision_shape();
+  decision.statistics_scaler += 1;
+  EXPECT_THROW(load(hyper_shape(), decision), io::MalformedError);
 }
 
 }  // namespace

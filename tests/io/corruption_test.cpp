@@ -1,5 +1,6 @@
 // Corruption gauntlet (ctest label `fuzz`): EVERY single-byte corruption of
-// a serialized graph and plan record — all 8 bit flips of every byte, plus
+// a serialized graph, plan, cost-table and model-bundle record — all 8 bit
+// flips of every byte, plus
 // every truncation length — must produce a typed io::Error or decode to a
 // value-equal object. Never a crash, never a foreign exception, never UB
 // (the CI sanitizer job runs this suite under ASan+UBSan).
@@ -11,13 +12,39 @@
 #include "io/interchange.hpp"
 
 #include "io/error.hpp"
+#include "linalg/stats.hpp"
+#include "nn/mlp.hpp"
 #include "support/interchange_fixtures.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <vector>
+
+// The largest single allocation since the last reset, so a test can show a
+// decoder rejected a forged count before allocating what it promised.
+namespace {
+std::atomic<std::size_t> g_largest_allocation{0};
+}  // namespace
+
+// Out of line, so GCC does not pair the malloc below with the frees in the
+// deletes it would otherwise inline (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  std::size_t seen = g_largest_allocation.load(std::memory_order_relaxed);
+  while (n > seen && !g_largest_allocation.compare_exchange_weak(
+                         seen, n, std::memory_order_relaxed)) {
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace powerlens::io {
 namespace {
@@ -114,6 +141,87 @@ TEST(CorruptionGauntletTest, CostTableRecordSurvivesEverySingleByteFlip) {
       table);
 }
 
+// A small model-bundle payload: hand-shaped predictors (2 structural and 1
+// statistics input, 2-unit hidden layers, 3 classes) keep the quadratic
+// flip-times-checksum gauntlet fast.
+void encode_small_predictor(Writer& w) {
+  for (const linalg::Matrix& samples : {linalg::Matrix{{0.0, 1.0}, {2.0, 5.0}},
+                                        linalg::Matrix{{0.5}, {-1.5}}}) {
+    linalg::StandardScaler scaler;
+    scaler.fit(samples);
+    scaler.encode(w);
+  }
+  nn::TwoStageMlpConfig cfg;
+  cfg.structural_dim = 2;
+  cfg.statistics_dim = 1;
+  cfg.hidden1 = cfg.hidden2 = cfg.hidden3 = 2;
+  cfg.num_classes = 3;
+  nn::TwoStageMlp(cfg).encode(w);
+}
+
+std::vector<std::byte> small_bundle() {
+  Writer w;
+  w.str("tx2");
+  encode_small_predictor(w);
+  encode_small_predictor(w);
+  return frame_record(RecordType::kModelBundle, w.take());
+}
+
+TEST(CorruptionGauntletTest, ModelBundleRecordSurvivesEverySingleByteFlip) {
+  const std::vector<std::byte> bytes = small_bundle();
+  // Value equality for a bundle is re-encoding to the same bytes.
+  run_gauntlet(
+      bytes,
+      [](const std::vector<std::byte>& b) {
+        const core::ModelBundle m = core::decode_model_bundle(b);
+        return core::encode_model_bundle(m.platform, m.hyper, m.decision);
+      },
+      bytes);
+}
+
+// Checksum-valid records whose scaler or matrix count promises more values
+// than the payload holds fail as truncation before anything that size is
+// allocated.
+TEST(CorruptionGauntletTest, ForgedModelBundleCountsFailBeforeAllocating) {
+  const auto expect_truncated = [](Writer payload, const char* what) {
+    const std::vector<std::byte> record =
+        frame_record(RecordType::kModelBundle, payload.take());
+    g_largest_allocation = 0;
+    try {
+      core::decode_model_bundle(record);
+      ADD_FAILURE() << what << ": forged count accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kTruncated) << what << ": " << e.what();
+    }
+    EXPECT_LT(g_largest_allocation.load(), std::size_t{1} << 20) << what;
+  };
+  for (const std::uint64_t n :
+       {std::uint64_t{2305843009213693951}, std::uint64_t{100000000}}) {
+    Writer scaler;
+    scaler.str("tx2");
+    scaler.u64(n);
+    for (int i = 0; i < 8; ++i) scaler.f64(1.0);
+    expect_truncated(std::move(scaler), "scaler count");
+  }
+  // A first-layer weight matrix of 2^20 x 2^20 behind valid scalers.
+  Writer matrix;
+  matrix.str("tx2");
+  Writer slot;
+  encode_small_predictor(slot);
+  const std::vector<std::byte> slot_bytes = slot.take();
+  Cursor c(slot_bytes);
+  linalg::StandardScaler::decode(c);
+  linalg::StandardScaler::decode(c);
+  matrix.bytes(std::span(slot_bytes).first(c.offset()));
+  for (int i = 0; i < 6; ++i) matrix.u64(2);  // the MLP's dims
+  matrix.i64(0);                               // Adam step
+  matrix.u8(1);                                // ReLU flag
+  matrix.u64(std::uint64_t{1} << 20);
+  matrix.u64(std::uint64_t{1} << 20);
+  for (int i = 0; i < 8; ++i) matrix.f64(1.0);
+  expect_truncated(std::move(matrix), "matrix shape");
+}
+
 TEST(CorruptionGauntletTest, HeaderFlipsProduceTheDocumentedErrorKinds) {
   const std::vector<std::byte> good = encode_graph(testing::golden_graph());
   const auto kind_of = [&](std::size_t offset, std::byte flip) {
@@ -147,6 +255,7 @@ TEST(CorruptionGauntletTest, FuzzEntryPointCountsAndSwallows) {
   EXPECT_EQ(fuzz_try_decode(encode_plan(testing::golden_plan())), 1);
   EXPECT_EQ(
       fuzz_try_decode(encode_cost_table(testing::golden_cost_table())), 1);
+  EXPECT_EQ(fuzz_try_decode(small_bundle()), 1);
   EXPECT_EQ(fuzz_try_decode({}), 0);
   std::vector<std::byte> garbage(64, std::byte{0xa5});
   EXPECT_EQ(fuzz_try_decode(garbage), 0);

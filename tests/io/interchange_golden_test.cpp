@@ -1,9 +1,11 @@
 // Committed-bytes pin for the binary interchange: today's writers must
-// reproduce tests/data/interchange_golden/*.plbin byte-for-byte on every
-// kernel dispatch path, and the readers must decode those committed bytes
-// to the fixture objects. A failure here means the wire format drifted —
-// bump io::kFormatVersion, teach the readers both layouts, and re-baseline
-// with `regen_serialize_golden <serialize_golden.txt> <this directory>`.
+// reproduce tests/data/interchange_golden/{graph,plan,cost_table}.plbin
+// byte-for-byte on every kernel dispatch path, and the readers must decode
+// those committed bytes to the fixture objects. A failure here means the
+// wire format drifted — bump io::kFormatVersion, teach the readers both
+// layouts, and re-baseline with `regen_goldens <this directory>`.
+// (model_bundle.plbin, the fourth golden, is pinned by
+// tests/nn/serialize_golden_test.cpp.)
 //
 // The fixtures (tests/support/interchange_fixtures.hpp) are integer/literal
 // built precisely so this test is meaningful: any byte difference is format

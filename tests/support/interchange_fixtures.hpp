@@ -1,10 +1,10 @@
 // Shared golden-fixture builders for the binary interchange (src/io).
 //
 // The golden tests assert that today's writers reproduce the committed
-// tests/data/interchange_golden/*.plbin byte-for-byte, and the regen tool
-// (tools/regen_serialize_golden) rewrites those files after a DELIBERATE
-// format change — both sides must build the fixtures from the same source,
-// so the builders live here.
+// tests/data/interchange_golden/{graph,plan,cost_table}.plbin byte-for-byte,
+// and the regen tool (tools/regen_goldens) rewrites those files after a
+// DELIBERATE format change — both sides must build the fixtures from the
+// same source, so the builders live here.
 //
 // Every value is either integer-derived or a double literal: no libm, no
 // platform math, so the encoded bytes are identical on every host and both
