@@ -39,7 +39,6 @@
 #include <memory>
 #include <optional>
 #include <random>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -401,68 +400,37 @@ std::string plan_compute_record(core::PowerLens& framework,
                                 const std::vector<dnn::Graph>& graphs) {
   // Plan-cache-miss latency: PowerLens::optimize with heap-allocated
   // temporaries (ws == nullptr) vs a warmed per-worker Workspace — the
-  // serving layer's configuration after this change.
+  // serving layer's configuration.
   linalg::Workspace ws;
   for (const dnn::Graph& g : graphs) {
     if (!(framework.optimize(g) == framework.optimize(g, &ws))) {
       throw std::runtime_error("plan_compute: workspace path changed the plan");
     }
   }
-  // The coalesced-miss path: all graphs planned through one optimize_batch
-  // call (shared eigendecomposition sweeps). Cross-check first — batching
-  // must never change a plan.
-  std::vector<const dnn::Graph*> graph_ptrs;
-  for (const dnn::Graph& g : graphs) graph_ptrs.push_back(&g);
-  {
-    const std::vector<core::OptimizationPlan> batch =
-        framework.optimize_batch(graph_ptrs, &ws);
-    for (std::size_t i = 0; i < graphs.size(); ++i) {
-      if (!(batch[i] == framework.optimize(graphs[i], &ws))) {
-        throw std::runtime_error("plan_compute: batched path changed a plan");
-      }
-    }
-  }
-  // CI gates batched over heap, so those two are timed as adjacent pairs.
-  const bench::PairedRatio batched_over_heap = bench::paired_ratio(
-      [&] {
-        return bench::sample_ms([&] {
-                 benchmark::DoNotOptimize(
-                     framework.optimize_batch(graph_ptrs, &ws));
-               }) /
-               static_cast<double>(graphs.size());
-      },
-      [&] {
-        return bench::sample_ms([&] {
-                 for (const dnn::Graph& g : graphs) {
-                   benchmark::DoNotOptimize(framework.optimize(g));
-                 }
-               }) /
-               static_cast<double>(graphs.size());
-      });
-  const double heap_ms = batched_over_heap.b_min;
-  const double batched_ms = batched_over_heap.a_min;
-  const double workspace_ms =
-      best_of_ms(
-          [&] {
-            for (const dnn::Graph& g : graphs) {
-              benchmark::DoNotOptimize(framework.optimize(g, &ws));
-            }
-          },
-          18) /
-      static_cast<double>(graphs.size());
+  // CI gates workspace over heap, so the two are timed as adjacent pairs.
+  const auto time_plans = [&](linalg::Workspace* plan_ws) {
+    return bench::sample_ms([&] {
+             for (const dnn::Graph& g : graphs) {
+               benchmark::DoNotOptimize(framework.optimize(g, plan_ws));
+             }
+           }) /
+           static_cast<double>(graphs.size());
+  };
+  const bench::PairedRatio workspace_over_heap = bench::paired_ratio(
+      [&] { return time_plans(&ws); }, [&] { return time_plans(nullptr); });
+  const double workspace_ms = workspace_over_heap.a_min;
+  const double heap_ms = workspace_over_heap.b_min;
   std::printf(
-      "plan       heap %8.3f ms/plan  workspace %8.3f ms/plan  batched "
-      "%8.3f ms/plan  %5.2fx serial, %5.2fx batched (paired %.2fx heap)\n",
-      heap_ms, workspace_ms, batched_ms, heap_ms / workspace_ms,
-      heap_ms / batched_ms, batched_over_heap.median);
+      "plan       heap %8.3f ms/plan  workspace %8.3f ms/plan  %5.2fx "
+      "(paired %.2fx heap)\n",
+      heap_ms, workspace_ms, heap_ms / workspace_ms,
+      workspace_over_heap.median);
   return obs::JsonWriter()
       .field("graphs", static_cast<double>(graphs.size()))
       .field("heap_ms_per_plan", heap_ms)
       .field("workspace_ms_per_plan", workspace_ms)
       .field("speedup", heap_ms / workspace_ms)
-      .field("batched_ms_per_plan", batched_ms)
-      .field("batched_speedup_vs_serial", workspace_ms / batched_ms)
-      .field("batched_over_heap_paired", batched_over_heap.median)
+      .field("workspace_over_heap_paired", workspace_over_heap.median)
       .str();
 }
 
@@ -543,9 +511,8 @@ std::string warm_path_record(const core::PowerLens& framework,
   serve::PlanCache cache;
   const core::OptimizationPlan plan = framework.optimize(graph);
   cache.preload(sig, std::make_shared<const core::OptimizationPlan>(plan));
-  const serve::PlanCache::BatchPlanFactory no_compute =
-      [](std::span<const dnn::Graph* const>)
-      -> std::vector<core::OptimizationPlan> {
+  const serve::PlanCache::PlanFactory no_compute =
+      [](const dnn::Graph&) -> core::OptimizationPlan {
     throw std::logic_error("warm_path: unexpected plan-cache miss");
   };
 

@@ -52,10 +52,6 @@ void mahalanobis_lower_into(const linalg::Matrix& x, const linalg::Matrix& w,
                             EpsAdjacency& adj) {
   const std::size_t n = x.rows();
   const std::size_t d = x.cols();
-  if (w.cols() != d) {
-    throw std::invalid_argument(
-        "power_distance: whitening factor width does not match features");
-  }
   const std::size_t k = w.rows();
 
   // P = Wᵀ W; d²(i,j) = ‖W(xᵢ − xⱼ)‖² = ‖yᵢ − yⱼ‖² with Y = X Wᵀ. The mean
@@ -147,50 +143,6 @@ void euclidean_lower_into(const linalg::Matrix& x,
   adj = EpsAdjacency::from_bitmap(n, bits.data(), words, degree.data());
 }
 
-// Batched scaled-table pipeline: one covariance per table, then ONE shared
-// eigendecomposition batch; each table then finishes exactly as the serial
-// path does, so every output is bitwise the serial one.
-void power_distance_matrix_adj_batch_into(
-    std::span<const linalg::Matrix* const> tables,
-    const DistanceParams& params, std::span<const double> eps,
-    linalg::Workspace& ws, std::span<linalg::Matrix* const> dists,
-    std::span<EpsAdjacency* const> adjs) {
-  if (params.metric != FeatureMetric::kMahalanobis) {
-    for (std::size_t i = 0; i < tables.size(); ++i) {
-      power_distance_matrix_adj_into(*tables[i], params, eps[i], ws,
-                                     *dists[i], *adjs[i]);
-    }
-    return;
-  }
-  std::vector<linalg::Workspace::Lease> covs;
-  covs.reserve(tables.size());
-  std::vector<const linalg::Matrix*> cov_ptrs;
-  cov_ptrs.reserve(tables.size());
-  for (std::size_t i = 0; i < tables.size(); ++i) {
-    check_params(params, eps[i]);
-    check_table(*tables[i]);
-    covs.push_back(ws.lease(tables[i]->cols(), tables[i]->cols()));
-    linalg::covariance_into(*tables[i], *covs.back());
-    cov_ptrs.push_back(&*covs.back());
-  }
-  const std::vector<linalg::Matrix> factors =
-      linalg::batched_whitening(cov_ptrs);
-  for (std::size_t i = 0; i < tables.size(); ++i) {
-    mahalanobis_lower_into(*tables[i], factors[i], params, eps[i], ws,
-                           *dists[i], *adjs[i]);
-  }
-}
-
-// z-scores `table` with its own fitted scaler into a pooled buffer.
-linalg::Workspace::Lease scaled_lease(const linalg::Matrix& table,
-                                      linalg::Workspace& ws) {
-  linalg::StandardScaler scaler;
-  scaler.fit(table);
-  linalg::Workspace::Lease scaled = ws.lease(table.rows(), table.cols());
-  scaler.transform_into(table, *scaled);
-  return scaled;
-}
-
 }  // namespace
 
 void power_distance_matrix_adj_into(const linalg::Matrix& scaled_features,
@@ -214,33 +166,12 @@ void power_distances_adj_into(const linalg::Matrix& depthwise_features,
                               const DistanceParams& params, double eps,
                               linalg::Workspace& ws, linalg::Matrix& dist,
                               EpsAdjacency& adj) {
-  const linalg::Workspace::Lease scaled = scaled_lease(depthwise_features, ws);
+  linalg::StandardScaler scaler;
+  scaler.fit(depthwise_features);
+  linalg::Workspace::Lease scaled =
+      ws.lease(depthwise_features.rows(), depthwise_features.cols());
+  scaler.transform_into(depthwise_features, *scaled);
   power_distance_matrix_adj_into(*scaled, params, eps, ws, dist, adj);
-}
-
-void power_distances_adj_batch_into(
-    std::span<const linalg::Matrix* const> depthwise_tables,
-    const DistanceParams& params, std::span<const double> eps,
-    linalg::Workspace& ws, std::span<linalg::Matrix* const> dists,
-    std::span<EpsAdjacency* const> adjs) {
-  if (depthwise_tables.size() != dists.size() ||
-      depthwise_tables.size() != eps.size() ||
-      depthwise_tables.size() != adjs.size()) {
-    throw std::invalid_argument(
-        "power_distances_adj_batch: span size mismatch");
-  }
-  // Scale every table first (leases stay alive across the batch), then one
-  // batched distance call shares the eigendecomposition sweeps.
-  std::vector<linalg::Workspace::Lease> scaled;
-  scaled.reserve(depthwise_tables.size());
-  std::vector<const linalg::Matrix*> scaled_ptrs;
-  scaled_ptrs.reserve(depthwise_tables.size());
-  for (const linalg::Matrix* table : depthwise_tables) {
-    scaled.push_back(scaled_lease(*table, ws));
-    scaled_ptrs.push_back(&*scaled.back());
-  }
-  power_distance_matrix_adj_batch_into(scaled_ptrs, params, eps, ws, dists,
-                                       adjs);
 }
 
 }  // namespace powerlens::clustering

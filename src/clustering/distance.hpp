@@ -43,8 +43,6 @@
 #include "linalg/matrix.hpp"
 #include "linalg/workspace.hpp"
 
-#include <span>
-
 namespace powerlens::clustering {
 
 enum class FeatureMetric {
@@ -74,17 +72,5 @@ void power_distances_adj_into(const linalg::Matrix& depthwise_features,
                               const DistanceParams& params, double eps,
                               linalg::Workspace& ws, linalg::Matrix& dist,
                               EpsAdjacency& adj);
-
-// Batched variant over many networks' unscaled tables, with per-graph eps
-// (per-graph hyperparameter predictions differ). With the Mahalanobis
-// metric every covariance goes through ONE linalg::batched_whitening call
-// (shared Jacobi sweep rounds); dists[i]/adjs[i] are bitwise identical to
-// power_distances_adj_into on tables[i] — batching changes sharing, never
-// results. All spans must be the same length.
-void power_distances_adj_batch_into(
-    std::span<const linalg::Matrix* const> depthwise_tables,
-    const DistanceParams& params, std::span<const double> eps,
-    linalg::Workspace& ws, std::span<linalg::Matrix* const> dists,
-    std::span<EpsAdjacency* const> adjs);
 
 }  // namespace powerlens::clustering

@@ -255,15 +255,6 @@ TrainingSummary PowerLens::train() {
   return s;
 }
 
-clustering::ClusteringHyperparams PowerLens::learned_hyper(
-    const dnn::Graph& graph, linalg::Workspace* ws, bool record) const {
-  obs::ScopedSpan span(obs::default_trace(), "predict_hyper", "pipeline");
-  const PhaseTimer timer(Phase::kPredict, record);
-  const int cls = hyper_model_.predict(
-      features::GlobalFeatureExtractor::extract(graph), ws);
-  return config_.dataset.grid.at(static_cast<std::size_t>(cls));
-}
-
 OptimizationPlan PowerLens::plan(const dnn::Graph& graph, PlanSpec spec,
                                  linalg::Workspace* ws) const {
   using S = PlanSpec;
@@ -307,7 +298,11 @@ OptimizationPlan PowerLens::plan(const dnn::Graph& graph, PlanSpec spec,
   OptimizationPlan plan;
   plan.hyper = spec.hyper;
   if (spec.hyper_stage == S::Hyper::kLearned) {
-    plan.hyper = learned_hyper(graph, ws, record);
+    obs::ScopedSpan span(tw, "predict_hyper", "pipeline");
+    const PhaseTimer timer(Phase::kPredict, record);
+    const int cls = hyper_model_.predict(
+        features::GlobalFeatureExtractor::extract(graph), ws);
+    plan.hyper = config_.dataset.grid.at(static_cast<std::size_t>(cls));
   } else if (sweep) {
     GridSweep winner =
         sweep_hyperparam_grid(graph, *costs, *platform_, config_.dataset);
@@ -329,26 +324,20 @@ OptimizationPlan PowerLens::plan(const dnn::Graph& graph, PlanSpec spec,
     // provenance never changes values).
     linalg::Workspace local_ws;
     linalg::Workspace& plan_ws = ws != nullptr ? *ws : local_ws;
-    std::optional<linalg::Workspace::Lease> dist;
+    const linalg::Matrix table =
+        features::DepthwiseFeatureExtractor::extract(graph);
+    linalg::Workspace::Lease dist = plan_ws.lease(0, 0);
     clustering::EpsAdjacency adj;
-    if (spec.view_stage == S::View::kClustered) {
-      const linalg::Matrix table =
-          features::DepthwiseFeatureExtractor::extract(graph);
-      dist.emplace(plan_ws.lease(0, 0));
+    {
       const PhaseTimer timer(Phase::kDistance, record);
       clustering::power_distances_adj_into(table, config_.dataset.distance,
-                                           plan.hyper.eps, plan_ws, **dist,
+                                           plan.hyper.eps, plan_ws, *dist,
                                            adj);
-      spec.distances = &**dist;
-      spec.adjacency = &adj;
-    } else if (record) {
-      observe_phase(Phase::kDistance, spec.distance_ms);
     }
     const PhaseTimer timer(Phase::kCluster, record);
     plan.view = enforce_min_block_duration(
         *costs,
-        clustering::build_power_view_from_adjacency(
-            *spec.distances, *spec.adjacency, plan.hyper),
+        clustering::build_power_view_from_adjacency(*dist, adj, plan.hyper),
         *platform_, feasible_block_duration(*costs, *platform_));
   }
 
@@ -445,61 +434,8 @@ std::vector<OptimizationPlan> PowerLens::optimize_batch(
     throw std::logic_error("PowerLens: optimize before train");
   }
   std::vector<OptimizationPlan> plans;
-  if (graphs.empty()) return plans;
-
-  obs::TraceWriter& tw = obs::default_trace();
-  obs::ScopedSpan opt_span(
-      tw, "powerlens_optimize_batch", "pipeline",
-      {obs::TraceArg::num("graphs", static_cast<double>(graphs.size()))});
-  // The distance batch needs a workspace even on the heap path; a local one
-  // only changes buffer provenance, never values.
-  linalg::Workspace local_ws;
-  linalg::Workspace& batch_ws = ws != nullptr ? *ws : local_ws;
-
-  // Stage 1 per graph, then every graph's power distances through ONE
-  // shared eigendecomposition batch, each emitting its ε-adjacency.
-  const std::size_t n = graphs.size();
-  std::vector<clustering::ClusteringHyperparams> hps(n);
-  std::vector<linalg::Matrix> tables(n);
-  std::vector<const linalg::Matrix*> table_ptrs(n);
-  std::vector<double> eps(n);
-  std::vector<linalg::Workspace::Lease> dists;
-  std::vector<linalg::Matrix*> dist_ptrs(n);
-  std::vector<clustering::EpsAdjacency> adjs(n);
-  std::vector<clustering::EpsAdjacency*> adj_ptrs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    hps[i] = learned_hyper(*graphs[i], ws, /*record=*/true);
-    tables[i] = features::DepthwiseFeatureExtractor::extract(*graphs[i]);
-    table_ptrs[i] = &tables[i];
-    eps[i] = hps[i].eps;
-    dists.push_back(batch_ws.lease(0, 0));
-    dist_ptrs[i] = &*dists.back();
-    adj_ptrs[i] = &adjs[i];
-  }
-  const auto start = std::chrono::steady_clock::now();
-  {
-    obs::ScopedSpan span(tw, "batched_power_distances", "pipeline");
-    clustering::power_distances_adj_batch_into(
-        table_ptrs, config_.dataset.distance, eps, batch_ws, dist_ptrs,
-        adj_ptrs);
-  }
-  // Each plan is charged its amortised share of the shared sweep — same
-  // discipline as powerlens_serve_plan_compute_ms.
-  const double distance_ms = ms_since(start) / static_cast<double>(n);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    plans.push_back(plan(*graphs[i],
-                         {.hyper_stage = PlanSpec::Hyper::kGiven,
-                          .view_stage = PlanSpec::View::kPrecomputed,
-                          .hyper = hps[i],
-                          .distances = dist_ptrs[i],
-                          .adjacency = &adjs[i],
-                          .distance_ms = distance_ms,
-                          .record_phases = true},
-                         ws));
-  }
-  obs::log_debug("powerlens", "optimized graph batch",
-                 {{"graphs", static_cast<double>(n)}});
+  plans.reserve(graphs.size());
+  for (const dnn::Graph* g : graphs) plans.push_back(optimize(*g, ws));
   return plans;
 }
 

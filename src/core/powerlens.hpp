@@ -198,13 +198,8 @@ class PowerLens {
   OptimizationPlan optimize(const dnn::Graph& graph,
                             linalg::Workspace* ws = nullptr) const;
 
-  // Batched optimize(): plans many graphs in one call, pushing every
-  // graph's clustering covariance through ONE shared eigendecomposition
-  // batch (clustering::power_distances_adj_batch_into) instead of one
-  // decomposition per graph. plans[i] is bitwise identical to
-  // optimize(*graphs[i], ws) — batching changes wall-clock, never results
-  // (test-asserted; the serving layer's coalesced plan-cache misses depend
-  // on it). Throws std::logic_error before train().
+  // optimize() over many graphs, in order: plans[i] is optimize(*graphs[i],
+  // ws). Throws std::logic_error before train(), whatever the input.
   std::vector<OptimizationPlan> optimize_batch(
       std::span<const dnn::Graph* const> graphs,
       linalg::Workspace* ws = nullptr) const;
@@ -266,16 +261,13 @@ class PowerLens {
   // CPU presets.
   struct PlanSpec {
     enum class Hyper { kLearned, kOracleSweep, kGiven };
-    enum class View { kClustered, kPrecomputed, kGiven };
+    enum class View { kClustered, kGiven };
     enum class Levels { kLearned, kCostArgmin, kJointArgmin };
     Hyper hyper_stage = Hyper::kLearned;
     View view_stage = View::kClustered;
     Levels level_stage = Levels::kLearned;
     clustering::ClusteringHyperparams hyper{};
     clustering::PowerView view{};
-    const linalg::Matrix* distances = nullptr;
-    const clustering::EpsAdjacency* adjacency = nullptr;
-    double distance_ms = 0.0;  // amortised share of the batched sweep
     const AdaptSignals* signals = nullptr;
     const hw::CostFeatures* cost_features = nullptr;
     bool record_phases = false;  // observe powerlens_plan_phase_*_ms
@@ -283,11 +275,6 @@ class PowerLens {
 
   OptimizationPlan plan(const dnn::Graph& graph, PlanSpec spec,
                         linalg::Workspace* ws) const;
-  // The learned hyperparameter stage, also run ahead of a batched distance
-  // stage.
-  clustering::ClusteringHyperparams learned_hyper(const dnn::Graph& graph,
-                                                  linalg::Workspace* ws,
-                                                  bool record) const;
 
   friend JointPlan optimize_joint_oracle(const dnn::Graph& graph,
                                          const hw::Platform& platform,

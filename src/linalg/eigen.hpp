@@ -1,16 +1,17 @@
-// Symmetric eigendecomposition (cyclic Jacobi) and Moore-Penrose
-// pseudo-inverse for symmetric positive semi-definite matrices.
+// Symmetric eigendecomposition (cyclic Jacobi) and the whitening factor of
+// a symmetric positive semi-definite matrix.
 //
 // Algorithm 1 of the paper computes the pseudo-inverse of a feature
 // covariance matrix; covariance matrices are symmetric PSD, so a Jacobi
-// eigendecomposition followed by reciprocal-of-nonzero-eigenvalues
-// reconstruction is exact, simple, and robust to rank deficiency (common
-// when few layers share a feature value).
+// eigendecomposition that keeps only the non-negligible eigenvalues is
+// exact, simple, and robust to rank deficiency (common when few layers share
+// a feature value). The planner uses the pseudo-inverse in factored form
+// (whitening_factor_spd); the explicit pseudo-inverse is a test oracle
+// (tests/support/distance_oracles.hpp).
 #pragma once
 
 #include "linalg/matrix.hpp"
 
-#include <span>
 #include <vector>
 
 namespace powerlens::linalg {
@@ -27,20 +28,6 @@ struct EigenDecomposition {
 // (asymmetry beyond `symmetry_tol` * frobenius_norm).
 EigenDecomposition eigen_symmetric(const Matrix& a, double symmetry_tol = 1e-9);
 
-// Batched decomposition: drives many independent symmetric matrices through
-// shared cyclic-Jacobi sweep rounds (the batched offline path — one call
-// decomposes every covariance a coalesced plan-compute batch needs).
-// Per-matrix convergence is checked on the schedule eigen_symmetric uses
-// solo and rotations never cross matrices, so result i is bitwise identical
-// to eigen_symmetric(*as[i]). Validates every input before decomposing any;
-// throws std::invalid_argument as eigen_symmetric would.
-std::vector<EigenDecomposition> eigen_symmetric_batch(
-    std::span<const Matrix* const> as, double symmetry_tol = 1e-9);
-
-// Moore-Penrose pseudo-inverse of a symmetric PSD matrix. Eigenvalues whose
-// magnitude is below rcond * max_eigenvalue are treated as zero.
-Matrix pseudo_inverse_spd(const Matrix& a, double rcond = 1e-10);
-
 // Whitening factor W (k x n, k = rank kept) of a symmetric PSD matrix:
 // rows are eigenvectors scaled by 1/sqrt(lambda), so Wᵀ W = pinv(a) exactly
 // on the kept spectrum. This is the factored form of the pseudo-inverse the
@@ -50,11 +37,5 @@ Matrix pseudo_inverse_spd(const Matrix& a, double rcond = 1e-10);
 // non-positive ones, which a PSD input only produces through rounding — are
 // dropped; with nothing kept, W is a 0 x n matrix.
 Matrix whitening_factor_spd(const Matrix& a, double rcond = 1e-10);
-
-// Batched whitening_factor_spd: one eigen_symmetric_batch call followed by
-// the per-matrix factor construction. Element i is bitwise identical to
-// whitening_factor_spd(*as[i], rcond).
-std::vector<Matrix> batched_whitening(std::span<const Matrix* const> as,
-                                      double rcond = 1e-10);
 
 }  // namespace powerlens::linalg

@@ -22,22 +22,31 @@ Journal::Journal(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity), id_(next_journal_id()) {}
 
 Journal::Shard& Journal::local_shard() {
-  // Keyed by the journal's process-unique id, not its address, so a shard
-  // cached for a destroyed journal can never be revived by address reuse.
-  // A journal must outlive its appending threads (the server joins workers
-  // before serve() returns; the default journal is a leaked static).
-  thread_local std::vector<std::pair<std::uint64_t, Shard*>> cache;
-  for (const auto& [id, shard] : cache) {
-    if (id == id_) return *shard;
-  }
-  auto owned = std::make_unique<Shard>();
-  Shard* shard = owned.get();
+  // The thread's key is process-unique and never reused (a std::thread::id
+  // can be, and a new thread must not inherit an exited one's shard and its
+  // monotone keys). The one-entry cache holds the journal the thread last
+  // appended to, keyed by the journal's process-unique id rather than its
+  // address, so a destroyed journal's shard can never be revived by address
+  // reuse. A thread that moves to another journal looks its shard up in
+  // that journal's own table: O(1), and per-thread state stays three words
+  // however many journals the thread has used. A journal must outlive
+  // every append to it (the server joins workers before serve() returns;
+  // the default journal is a leaked static).
+  static std::atomic<std::uint64_t> next_thread_key{1};
+  thread_local const std::uint64_t thread_key =
+      next_thread_key.fetch_add(1, std::memory_order_relaxed);
+  thread_local std::uint64_t cached_journal = 0;
+  thread_local Shard* cached_shard = nullptr;
+  if (cached_journal == id_) return *cached_shard;
+
   {
     std::lock_guard<std::mutex> lock(shards_mu_);
-    shards_.push_back(std::move(owned));
+    std::unique_ptr<Shard>& shard = shards_[thread_key];
+    if (shard == nullptr) shard = std::make_unique<Shard>();
+    cached_shard = shard.get();
   }
-  cache.emplace_back(id_, shard);
-  return *shard;
+  cached_journal = id_;
+  return *cached_shard;
 }
 
 void Journal::append(std::uint64_t run, std::uint64_t task, std::uint32_t seq,
@@ -80,7 +89,7 @@ void Journal::append(std::uint64_t run, std::uint64_t task, std::uint32_t seq,
 std::size_t Journal::resident() const {
   std::lock_guard<std::mutex> lock(shards_mu_);
   std::size_t total = 0;
-  for (const auto& shard : shards_) {
+  for (const auto& [key, shard] : shards_) {
     std::lock_guard<std::mutex> slock(shard->mu);
     total += shard->ring.size();
   }
@@ -91,7 +100,7 @@ void Journal::write_jsonl(std::ostream& os) const {
   std::vector<Record> merged;
   {
     std::lock_guard<std::mutex> lock(shards_mu_);
-    for (const auto& shard : shards_) {
+    for (const auto& [key, shard] : shards_) {
       std::lock_guard<std::mutex> slock(shard->mu);
       merged.insert(merged.end(), shard->ring.begin(), shard->ring.end());
     }
@@ -127,7 +136,7 @@ std::string Journal::jsonl() const {
 
 void Journal::clear() {
   std::lock_guard<std::mutex> lock(shards_mu_);
-  for (const auto& shard : shards_) {
+  for (const auto& [key, shard] : shards_) {
     std::lock_guard<std::mutex> slock(shard->mu);
     shard->ring.clear();
     shard->next = 0;

@@ -21,8 +21,10 @@
 //     eight threads split the work. The merged view is byte-identical at
 //     any worker count; only the (unexported) eviction counter varies.
 //
-// Appends are cheap: one thread-local shard lookup, one mutex acquire on an
-// uncontended per-thread lock, one string move into the ring. A disabled
+// Appends are cheap: one thread-local shard lookup (O(1): a one-entry
+// per-thread cache, else a probe of the journal's own per-thread table),
+// one mutex acquire on an uncontended per-thread lock, one string move into
+// the ring. A disabled
 // journal costs a single relaxed atomic load.
 #pragma once
 
@@ -33,6 +35,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace powerlens::obs {
@@ -113,8 +116,9 @@ class Journal {
   std::atomic<std::uint64_t> next_run_{0};
   std::atomic<std::uint64_t> appended_{0};
   std::atomic<std::uint64_t> evicted_{0};
-  mutable std::mutex shards_mu_;  // guards the shard list itself
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::mutex shards_mu_;  // guards the shard table itself
+  // One shard per appending thread, by the thread's process-unique key.
+  std::unordered_map<std::uint64_t, std::unique_ptr<Shard>> shards_;
 };
 
 // The process-wide journal the serving layer appends to by default.

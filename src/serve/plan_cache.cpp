@@ -37,8 +37,8 @@ obs::Counter& eviction_counter() {
 }
 
 obs::Histogram& plan_compute_histogram() {
-  // Cold-cache plan cost in milliseconds per plan (batch wall time divided
-  // by batch size). Bounds bracket the tuned serving target (<= 0.7 ms) so
+  // Cold-cache plan cost in milliseconds per plan (the factory's wall
+  // time). Bounds bracket the tuned serving target (<= 0.7 ms) so
   // regressions show up as mass shifting right.
   static constexpr std::array<double, 10> kBoundsMs = {
       0.05, 0.1, 0.2, 0.35, 0.5, 0.7, 1.0, 2.0, 5.0, 10.0};
@@ -82,66 +82,9 @@ bool PlanCache::insert_resident(Shard& shard, std::uint64_t sig,
   return true;
 }
 
-void PlanCache::drain_pending(Shard& shard, std::unique_lock<std::mutex>& lock,
-                              const BatchPlanFactory& factory) {
-  while (!shard.pending.empty()) {
-    // Snapshot this round's misses; new arrivals append to a fresh pending
-    // list and are drained by the next iteration.
-    const auto batch = std::move(shard.pending);
-    shard.pending.clear();
-    std::vector<const dnn::Graph*> graphs;
-    graphs.reserve(batch.size());
-    for (const auto& [sig, graph] : batch) graphs.push_back(graph);
-
-    lock.unlock();
-    std::vector<core::OptimizationPlan> plans;
-    std::exception_ptr error;
-    // Wall-clock span on the leader's own track: plan-cache misses are the
-    // serving path's dominant cold cost, and the batch size shows how much
-    // coalescing amortised it.
-    obs::ScopedSpan span(
-        obs::default_trace(), "plan_cache_miss_batch", "serve",
-        {obs::TraceArg::num("plans", static_cast<double>(graphs.size()))});
-    const auto start = std::chrono::steady_clock::now();
-    try {
-      plans = factory(graphs);
-      if (plans.size() != graphs.size()) {
-        throw std::logic_error(
-            "PlanCache: batch factory returned wrong plan count");
-      }
-    } catch (...) {
-      error = std::current_exception();
-    }
-    const double elapsed_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    lock.lock();
-
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const std::uint64_t sig = batch[i].first;
-      const auto in_it = shard.inflight.find(sig);
-      if (error != nullptr) {
-        in_it->second->error = error;
-      } else {
-        in_it->second->plan = std::make_shared<const core::OptimizationPlan>(
-            std::move(plans[i]));
-        insert_resident(shard, sig, in_it->second->plan);
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        miss_counter().inc();
-        plan_compute_histogram().observe(
-            elapsed_ms / static_cast<double>(batch.size()));
-      }
-      in_it->second->ready = true;
-      shard.inflight.erase(in_it);
-    }
-    shard.cv.notify_all();
-  }
-}
-
 PlanCache::PlanPtr PlanCache::get_or_compute(std::uint64_t sig,
                                              const dnn::Graph& graph,
-                                             const BatchPlanFactory& factory) {
+                                             const PlanFactory& factory) {
   Shard& shard = shard_for(sig);
   std::unique_lock<std::mutex> lock(shard.mu);
   const auto it = shard.plans.find(sig);
@@ -153,60 +96,64 @@ PlanCache::PlanPtr PlanCache::get_or_compute(std::uint64_t sig,
     return it->second.plan;
   }
 
-  // A miss computes from `graph`, so a wrong signature would file its plan
-  // under another model's key.
-  assert(sig == graph_signature(graph));
-  // Join an in-flight computation if one exists; otherwise register one.
-  // `graph` must stay valid until the entry resolves — guaranteed because
-  // this thread blocks (waiting or leading) until then.
   const auto in_it = shard.inflight.find(sig);
-  const bool joined = in_it != shard.inflight.end();
-  std::shared_ptr<InFlight> entry;
-  if (joined) {
-    entry = in_it->second;
-  } else {
-    entry = std::make_shared<InFlight>();
-    shard.inflight.emplace(sig, entry);
-    shard.pending.emplace_back(sig, &graph);
-  }
-
-  if (!shard.leader_active) {
-    // Become the shard leader: compute every pending miss (ours included,
-    // unless we joined) in batched factory calls with the lock released.
-    shard.leader_active = true;
-    try {
-      drain_pending(shard, lock, factory);
-    } catch (...) {
-      shard.leader_active = false;
-      throw;
-    }
-    shard.leader_active = false;
-    // Entries registered while we were the leader are all resolved; a join
-    // that raced in just before leadership may still need the wait below.
-  }
-  shard.cv.wait(lock, [&] { return entry->ready; });
-
-  if (entry->error != nullptr) std::rethrow_exception(entry->error);
-  if (joined) {
-    // Coalesced duplicate: served without a fresh computation, so it counts
-    // as a hit — totals match the PR-5 compute-under-lock discipline.
+  if (in_it != shard.inflight.end()) {
+    // Another thread is computing this signature: wait for its result. The
+    // request is served without a fresh computation, so it counts as a hit.
+    const std::shared_ptr<InFlight> entry = in_it->second;
+    shard.cv.wait(lock, [&] { return entry->ready; });
+    if (entry->error != nullptr) std::rethrow_exception(entry->error);
     hits_.fetch_add(1, std::memory_order_relaxed);
     hit_counter().inc();
     obs::default_trace().instant("plan_cache_coalesced", "serve");
+    return entry->plan;
   }
-  return entry->plan;
+
+  // A miss computes from `graph`, so a wrong signature would file its plan
+  // under another model's key.
+  assert(sig == graph_signature(graph));
+  const auto entry = std::make_shared<InFlight>();
+  shard.inflight.emplace(sig, entry);
+  lock.unlock();
+
+  PlanPtr plan;
+  std::exception_ptr error;
+  const auto start = std::chrono::steady_clock::now();
+  {
+    // Wall-clock span on the computing thread's own track: plan-cache
+    // misses are the serving path's dominant cold cost.
+    obs::ScopedSpan span(obs::default_trace(), "plan_cache_miss", "serve");
+    try {
+      plan = std::make_shared<const core::OptimizationPlan>(factory(graph));
+    } catch (...) {
+      error = std::current_exception();
+    }
+  }
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+
+  lock.lock();
+  if (error == nullptr) {
+    entry->plan = plan;
+    insert_resident(shard, sig, plan);
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    miss_counter().inc();
+    plan_compute_histogram().observe(elapsed_ms);
+  } else {
+    entry->error = error;
+  }
+  entry->ready = true;
+  shard.inflight.erase(sig);
+  lock.unlock();
+  shard.cv.notify_all();
+  if (error != nullptr) std::rethrow_exception(error);
+  return plan;
 }
 
 PlanCache::PlanPtr PlanCache::get_or_compute(const dnn::Graph& graph,
                                              const PlanFactory& factory) {
-  return get_or_compute(
-      graph_signature(graph), graph,
-      [&factory](std::span<const dnn::Graph* const> graphs) {
-        std::vector<core::OptimizationPlan> plans;
-        plans.reserve(graphs.size());
-        for (const dnn::Graph* g : graphs) plans.push_back(factory(*g));
-        return plans;
-      });
+  return get_or_compute(graph_signature(graph), graph, factory);
 }
 
 bool PlanCache::preload(std::uint64_t signature, PlanPtr plan) {
@@ -240,7 +187,7 @@ bool PlanCache::install(std::uint64_t signature, PlanPtr plan) {
   Shard& shard = shard_for(signature);
   const std::lock_guard<std::mutex> lock(shard.mu);
   if (shard.inflight.contains(signature)) {
-    // A leader is computing this signature; replacing it mid-flight would
+    // A miss is computing this signature; replacing it mid-flight would
     // race the waiters' published result. The adaptation layer runs between
     // epochs (nothing in flight), so refusing is both safe and moot.
     return false;

@@ -1,5 +1,4 @@
-// Sharded, optionally bounded memoization of PowerLens::optimize results
-// with batched miss coalescing.
+// Sharded, optionally bounded memoization of PowerLens::optimize results.
 //
 // The offline-instrumentation story of the paper becomes a serving-layer
 // cache: the first request for a model pays the optimize() cost, every
@@ -14,51 +13,44 @@
 // stored signature, so a warm hit costs one map probe under the shard lock
 // and never walks the graph. The graph rides along only for the factory on
 // a miss; debug builds assert that it hashes to `sig` there. One graph-keyed
-// adapter remains, get_or_compute(graph, PlanFactory), which hashes and
+// adapter remains, get_or_compute(graph, factory), which hashes and
 // forwards — for callers that hold a graph and no signature.
 //
-// Miss protocol (PR 6 — previously misses computed *under the shard lock*,
-// serializing every concurrent miss AND every hit behind the slowest
-// compute in the shard):
-//   * A miss registers an in-flight entry and joins the shard's pending
-//     list. The first thread to find no active leader becomes the shard
-//     leader: it snapshots the whole pending list, RELEASES the shard
-//     lock, computes all pending graphs in one BatchPlanFactory call
-//     (PowerLens::optimize_batch shares eigendecomposition sweeps across
-//     the batch), then relocks to publish. It drains new arrivals the same
-//     way until the pending list is empty, then retires.
-//   * Concurrent requests for a signature that is already in flight wait
-//     on the shard's condition variable — they never recompute and never
-//     hold the lock while anyone computes.
+// Miss protocol — one plan per miss, never computed under the shard lock:
+//   * A miss registers an in-flight entry for its signature, RELEASES the
+//     shard lock, calls the factory on its own graph, then relocks to
+//     publish the plan and notify the shard's waiters. Misses on distinct
+//     signatures therefore compute concurrently even when they share a
+//     shard.
+//   * A request for a signature that is already in flight waits on the
+//     shard's condition variable and receives the published plan — it
+//     never recomputes and never holds the lock while anyone computes.
 //   * Hits only ever take the lock for the map probe + LRU splice, so a
 //     hot key stays fast no matter what cold keys are being computed.
 //   * Completed plans live in the in-flight entry until every waiter has
 //     woken, so LRU eviction can never race a waiter out of its result.
 //
-// Counting discipline is unchanged and stays deterministic for a given
-// request set with unbounded capacity, whatever the worker count: each
-// distinct resident signature's first computation counts one miss
-// (attributed when the leader publishes it), every other serving-path
-// resolution — map hit or in-flight join — counts one hit. A factory
-// exception is rethrown to the leader and every joined waiter and counts
-// nothing, leaving the signature uncached exactly as before. lookup() is a
-// read-only probe with its own probe_hits counter; it sees only completed
-// plans and touches neither the serving-path counters nor LRU recency.
+// Counting is deterministic for a given request set with unbounded
+// capacity, whatever the worker count: each distinct resident signature's
+// first computation counts one miss, every other serving-path resolution —
+// map hit or in-flight wait — counts one hit. A factory exception is
+// rethrown to the computing thread and every waiter and counts nothing,
+// leaving the signature uncached. lookup() is a read-only probe with its
+// own probe_hits counter; it sees only completed plans and touches neither
+// the serving-path counters nor LRU recency.
 //
 // A positive `capacity` bounds the number of resident plans with
 // least-recently-used eviction. The budget is floor-split across shards
 // with the remainder distributed to the lowest shard indices, so the
 // per-shard slices sum to exactly `capacity` and resident() <= capacity
-// always holds (the former ceil-split admitted up to num_shards - 1 extra
-// plans). A shard whose slice is zero caches nothing: its signatures
+// always holds. A shard whose slice is zero caches nothing: its signatures
 // compute through the miss protocol but are never retained. An evicted
 // signature recomputes on next use, so under concurrency the counters
 // become access-order dependent — plans themselves stay byte-identical
 // either way.
 //
-// Observability: every leader batch feeds the
-// powerlens_serve_plan_compute_ms histogram (elapsed wall time divided by
-// batch size, observed once per computed plan), so cold-cache plan cost is
+// Observability: every computed plan observes its own factory wall time in
+// the powerlens_serve_plan_compute_ms histogram, so cold-cache plan cost is
 // visible next to the cache hit/miss counters.
 #pragma once
 
@@ -72,7 +64,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -83,28 +74,21 @@ class PlanCache {
   using PlanPtr = std::shared_ptr<const core::OptimizationPlan>;
   using PlanFactory =
       std::function<core::OptimizationPlan(const dnn::Graph&)>;
-  // Computes plans for a whole coalesced miss batch in one call; must
-  // return exactly one plan per input graph, in order.
-  using BatchPlanFactory = std::function<std::vector<core::OptimizationPlan>(
-      std::span<const dnn::Graph* const>)>;
 
   // `capacity` = maximum resident plans (0 = unbounded), floor-split
   // across shards (remainder to the lowest indices) and enforced per shard;
   // the slices sum to exactly `capacity`.
   explicit PlanCache(std::size_t num_shards = 8, std::size_t capacity = 0);
 
-  // The plan cached under `signature`, computing it from `graph` (batched
-  // with any other misses pending on the shard) on first use and refreshing
-  // LRU recency on reuse. `signature` must be graph_signature(graph)
-  // (asserted on a miss in debug builds). Thread-safe; each distinct
-  // signature is computed exactly once while it stays resident, and
-  // computation never holds the shard lock.
+  // The plan cached under `signature`, computing it as factory(graph) on
+  // first use and refreshing LRU recency on reuse. `signature` must be
+  // graph_signature(graph) (asserted on a miss in debug builds).
+  // Thread-safe; each distinct signature is computed exactly once while it
+  // stays resident, and computation never holds the shard lock.
   PlanPtr get_or_compute(std::uint64_t signature, const dnn::Graph& graph,
-                         const BatchPlanFactory& factory);
+                         const PlanFactory& factory);
 
-  // Graph-keyed, single-graph adapter: hashes `graph` and forwards with a
-  // batch factory that loops over `factory`. Keeps the lock-free-compute
-  // and coalescing protocol; only the cross-miss batching advantage is lost.
+  // Graph-keyed adapter: hashes `graph` and forwards.
   PlanPtr get_or_compute(const dnn::Graph& graph, const PlanFactory& factory);
 
   // Read-only probe: the plan cached under `signature` if present, nullptr
@@ -184,18 +168,12 @@ class PlanCache {
     std::condition_variable cv;
     std::unordered_map<std::uint64_t, Entry> plans;
     std::list<std::uint64_t> lru;  // most-recently-used at the front
-    // Miss coalescing state: signatures registered but not yet computed.
+    // Signatures whose first computation is running.
     std::unordered_map<std::uint64_t, std::shared_ptr<InFlight>> inflight;
-    std::vector<std::pair<std::uint64_t, const dnn::Graph*>> pending;
-    bool leader_active = false;
   };
   Shard& shard_for(std::uint64_t signature) const noexcept {
     return shards_[signature % shards_.size()];
   }
-  // Leader loop: drain `shard.pending` batches until empty. Called with the
-  // shard lock held; returns with it held.
-  void drain_pending(Shard& shard, std::unique_lock<std::mutex>& lock,
-                     const BatchPlanFactory& factory);
   // Inserts under the shard's capacity slice (evicting LRU if full).
   // Returns false without inserting when the slice is zero.
   bool insert_resident(Shard& shard, std::uint64_t sig, const PlanPtr& plan);

@@ -164,21 +164,16 @@ PlanCache::PlanPtr Server::plan_for(std::size_t model_index,
     throw std::logic_error(
         "Server: the PowerLens policy needs a trained framework");
   }
-  // Batch factory: the cache coalesces concurrent misses on a shard into
-  // one call, and optimize_batch shares the eigendecomposition sweeps
-  // across the coalesced graphs. `ws` is this worker's workspace; plans are
-  // workspace-invariant, so which worker leads a batch never changes bits.
-  const auto factory = [framework,
-                        &ws](std::span<const dnn::Graph* const> graphs) {
-    return framework->optimize_batch(graphs, &ws);
+  // `ws` is this worker's workspace; plans are workspace-invariant, so
+  // which worker computes a miss never changes bits.
+  const auto factory = [framework, &ws](const dnn::Graph& graph) {
+    return framework->optimize(graph, &ws);
   };
   const dnn::Graph& graph = models_[model_index].graph;
   if (config_.use_plan_cache) {
     return cache_.get_or_compute(model_sigs_[model_index], graph, factory);
   }
-  const dnn::Graph* const one[] = {&graph};
-  return std::make_shared<const core::OptimizationPlan>(
-      std::move(factory(one).front()));
+  return std::make_shared<const core::OptimizationPlan>(factory(graph));
 }
 
 std::vector<Server::ServiceResult> Server::simulate_parallel(

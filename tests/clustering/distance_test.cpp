@@ -305,65 +305,5 @@ TEST(PowerDistance, WorkspaceVariantIsBitwiseIdentical) {
   EXPECT_EQ(ws.created(), created);
 }
 
-// The batched path (shared eigendecomposition sweeps across tables) must
-// reproduce the per-table path bit for bit on every member, including
-// degenerate tables and the Euclidean metric.
-TEST(PowerDistance, BatchVariantIsBitwiseIdenticalPerTable) {
-  std::vector<Matrix> tables;
-  tables.push_back(random_table(19, 6, 5));
-  tables.push_back(random_table(31, 6, 99));
-  tables.push_back(random_table(7, 4, 3));
-  Matrix constant_col = random_table(11, 5, 21);
-  for (std::size_t r = 0; r < constant_col.rows(); ++r) {
-    constant_col(r, 2) = 4.25;  // rank-deficient covariance member
-  }
-  tables.push_back(constant_col);
-  const std::vector<double> eps = {0.2, 0.3, 0.4, 0.5};
-
-  for (const FeatureMetric metric :
-       {FeatureMetric::kMahalanobis, FeatureMetric::kEuclidean}) {
-    DistanceParams p;
-    p.metric = metric;
-    linalg::Workspace ws;
-    std::vector<Matrix> dists(tables.size());
-    std::vector<EpsAdjacency> adjs(tables.size());
-    std::vector<const Matrix*> table_ptrs;
-    std::vector<Matrix*> dist_ptrs;
-    std::vector<EpsAdjacency*> adj_ptrs;
-    for (std::size_t i = 0; i < tables.size(); ++i) {
-      table_ptrs.push_back(&tables[i]);
-      dist_ptrs.push_back(&dists[i]);
-      adj_ptrs.push_back(&adjs[i]);
-    }
-    power_distances_adj_batch_into(table_ptrs, p, eps, ws, dist_ptrs,
-                                   adj_ptrs);
-    for (std::size_t i = 0; i < tables.size(); ++i) {
-      linalg::Workspace solo_ws;
-      Matrix solo;
-      EpsAdjacency solo_adj;
-      power_distances_adj_into(tables[i], p, eps[i], solo_ws, solo, solo_adj);
-      SCOPED_TRACE(::testing::Message() << "table " << i << " metric "
-                                        << static_cast<int>(metric));
-      expect_lower_bitwise(dists[i], solo);
-      EXPECT_EQ(adjs[i].offsets, solo_adj.offsets);
-      EXPECT_EQ(adjs[i].neighbors, solo_adj.neighbors);
-    }
-  }
-}
-
-TEST(PowerDistance, BatchSizeMismatchThrows) {
-  const Matrix x = random_table(5, 3, 1);
-  Matrix out;
-  EpsAdjacency adj;
-  linalg::Workspace ws;
-  const std::vector<const Matrix*> tables = {&x};
-  const std::vector<double> eps = {0.5};
-  const std::vector<Matrix*> dists = {&out, &out};
-  const std::vector<EpsAdjacency*> adjs = {&adj};
-  EXPECT_THROW(power_distances_adj_batch_into(tables, DistanceParams{}, eps,
-                                              ws, dists, adjs),
-               std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace powerlens::clustering

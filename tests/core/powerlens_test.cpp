@@ -213,9 +213,8 @@ TEST_F(PowerLensTest, PlanForViewRejectsMismatchedView) {
       std::invalid_argument);
 }
 
-// optimize_batch shares eigendecomposition sweeps across the batch but must
-// reproduce each solo optimize() plan field-exactly — the coalesced
-// plan-cache miss path relies on batching never changing a plan.
+// optimize_batch is a loop over optimize(): each plan equals the solo
+// optimize() plan field-exactly, with or without a workspace.
 TEST_F(PowerLensTest, OptimizeBatchMatchesSoloOptimizeFieldExactly) {
   std::vector<dnn::Graph> graphs;
   graphs.push_back(dnn::make_alexnet(4));

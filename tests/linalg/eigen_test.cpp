@@ -1,5 +1,7 @@
 #include "linalg/eigen.hpp"
 
+#include "support/distance_oracles.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,6 +11,8 @@
 
 namespace powerlens::linalg {
 namespace {
+
+using powerlens::testing::pseudo_inverse_spd;
 
 Matrix random_spd(std::size_t n, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
@@ -69,63 +73,6 @@ TEST(EigenSymmetric, RejectsNonSquare) {
 TEST(EigenSymmetric, RejectsAsymmetric) {
   const Matrix m{{1.0, 2.0}, {0.0, 1.0}};
   EXPECT_THROW(eigen_symmetric(m), std::invalid_argument);
-}
-
-// The batched solver shares sweep rounds across problems but must run the
-// exact per-matrix rotation schedule of the solo solver — results are
-// bitwise identical, not merely close.
-TEST(EigenSymmetricBatch, BitwiseIdenticalToSoloSolves) {
-  std::vector<Matrix> mats;
-  mats.push_back(random_spd(3, 11));   // converges in few sweeps
-  mats.push_back(random_spd(8, 42));   // needs more sweeps than the 3x3
-  mats.push_back(random_spd(5, 77));
-  mats.push_back(Matrix{{2.0, 0.0}, {0.0, 5.0}});  // converged at sweep 0
-  std::vector<const Matrix*> ptrs;
-  for (const Matrix& m : mats) ptrs.push_back(&m);
-
-  const std::vector<EigenDecomposition> batch = eigen_symmetric_batch(ptrs);
-  ASSERT_EQ(batch.size(), mats.size());
-  for (std::size_t i = 0; i < mats.size(); ++i) {
-    const EigenDecomposition solo = eigen_symmetric(mats[i]);
-    ASSERT_EQ(batch[i].values.size(), solo.values.size()) << "matrix " << i;
-    for (std::size_t j = 0; j < solo.values.size(); ++j) {
-      EXPECT_EQ(batch[i].values[j], solo.values[j])
-          << "matrix " << i << " eigenvalue " << j;
-    }
-    EXPECT_EQ(Matrix::max_abs_diff(batch[i].vectors, solo.vectors), 0.0)
-        << "matrix " << i;
-  }
-}
-
-TEST(EigenSymmetricBatch, EmptyBatchIsEmpty) {
-  EXPECT_TRUE(eigen_symmetric_batch({}).empty());
-}
-
-TEST(EigenSymmetricBatch, RejectsAsymmetricMember) {
-  const Matrix good = random_spd(3, 5);
-  const Matrix bad{{1.0, 2.0}, {0.0, 1.0}};
-  const std::vector<const Matrix*> ptrs = {&good, &bad};
-  EXPECT_THROW(eigen_symmetric_batch(ptrs), std::invalid_argument);
-}
-
-TEST(BatchedWhitening, BitwiseIdenticalToSoloFactors) {
-  std::vector<Matrix> mats;
-  mats.push_back(random_spd(4, 7));
-  mats.push_back(random_spd(6, 123));
-  // Rank-deficient member: whitening must drop the null direction the same
-  // way the solo path does.
-  mats.push_back(Matrix{{1.0, 2.0}, {2.0, 4.0}});
-  std::vector<const Matrix*> ptrs;
-  for (const Matrix& m : mats) ptrs.push_back(&m);
-
-  const std::vector<Matrix> batch = batched_whitening(ptrs);
-  ASSERT_EQ(batch.size(), mats.size());
-  for (std::size_t i = 0; i < mats.size(); ++i) {
-    const Matrix solo = whitening_factor_spd(mats[i]);
-    ASSERT_EQ(batch[i].rows(), solo.rows()) << "matrix " << i;
-    ASSERT_EQ(batch[i].cols(), solo.cols()) << "matrix " << i;
-    EXPECT_EQ(Matrix::max_abs_diff(batch[i], solo), 0.0) << "matrix " << i;
-  }
 }
 
 TEST(PseudoInverse, InvertsFullRankSpd) {

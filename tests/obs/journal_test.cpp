@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -165,6 +166,40 @@ TEST(JournalTest, ClearDropsRecordsButRunIdsKeepIncreasing) {
   journal.append(second, 0, 0, "e", "");
   const std::vector<std::string> lines = lines_of(journal.jsonl());
   ASSERT_EQ(lines.size(), 2u);
+}
+
+// One thread appends to thousands of short-lived journals, returning to a
+// long-lived one between them. Each export holds exactly that journal's
+// records: a new journal (often at a destroyed one's address) never sees a
+// predecessor's shard, and the long-lived journal keeps its own.
+TEST(JournalTest, ShortLivedJournalsOnOneThreadExportOnlyTheirOwnRecords) {
+  constexpr std::uint64_t kJournals = 3000;
+  Journal keeper;
+  const std::uint64_t keeper_run = keeper.begin_run();
+  for (std::uint64_t j = 0; j < kJournals; ++j) {
+    auto journal = std::make_unique<Journal>(/*capacity=*/8);
+    const std::uint64_t run = journal->begin_run();
+    journal->append(run, j, 0, "request", "\"journal\": " + std::to_string(j));
+    journal->append(run, j, 1, "attempt", "");
+    keeper.append(keeper_run, j, 0, "tick", "");
+    const std::vector<std::string> lines = lines_of(journal->jsonl());
+    ASSERT_EQ(lines.size(), 3u) << "journal " << j;  // 2 records + trailer
+    const JsonValue first = JsonParser(lines[0]).parse();
+    ASSERT_EQ(first.object().at("journal").number(), static_cast<double>(j));
+    ASSERT_EQ(first.object().at("task").number(), static_cast<double>(j));
+    const JsonValue second = JsonParser(lines[1]).parse();
+    ASSERT_EQ(second.object().at("event").string(), "attempt");
+    ASSERT_EQ(journal->resident(), 2u);
+  }
+  EXPECT_EQ(keeper.appended(), kJournals);
+  EXPECT_EQ(keeper.resident(), kJournals);
+  const std::vector<std::string> lines = lines_of(keeper.jsonl());
+  ASSERT_EQ(lines.size(), kJournals + 1);
+  for (std::uint64_t j = 0; j < kJournals; j += 499) {
+    const JsonValue rec = JsonParser(lines[j]).parse();
+    EXPECT_EQ(rec.object().at("event").string(), "tick");
+    EXPECT_EQ(rec.object().at("task").number(), static_cast<double>(j));
+  }
 }
 
 TEST(JournalTest, WriteJsonlMatchesStringForm) {

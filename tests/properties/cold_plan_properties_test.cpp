@@ -1,4 +1,4 @@
-// Property suite for the restructured cold-plan pipeline (PR 10):
+// Property suite for the cold-plan pipeline:
 //
 //  - CSR-adjacency DBSCAN is field-exact against the dense-matrix oracle
 //    (dbscan_reference) across eps/minPts sweeps, including all-noise,
@@ -7,8 +7,7 @@
 //    triangle + diagonal bitwise identical to the scalar full-matrix oracle
 //    (the upper half is unspecified by contract), an adjacency equal to an
 //    explicit ε-scan of the oracle matrix, and a PowerView equal to dense
-//    DBSCAN + post-processing on it — serially and batched, on every
-//    dispatch path.
+//    DBSCAN + post-processing on it, on every dispatch path.
 //  - The layer-major cost-table fill reproduces the direct per-cell
 //    analytic model bit for bit on the full 12-model zoo, on every
 //    available kernel dispatch path, from both the layer-span and the
@@ -187,42 +186,6 @@ TEST(ColdPlanProperties, AdjacencyDistancePipelineBitwiseEqualsDensePath) {
                 dense_view)
           << "seed " << seed;
     }
-  }
-}
-
-TEST(ColdPlanProperties, BatchedAdjacencyPipelineMatchesSerial) {
-  std::mt19937_64 rng(31);
-  std::vector<linalg::Matrix> tables;
-  std::vector<double> eps;
-  for (std::size_t i = 0; i < 6; ++i) {
-    tables.push_back(random_features(rng, 5 + 7 * i, 5));
-    eps.push_back(0.15 + 0.1 * static_cast<double>(i));
-  }
-  std::vector<const linalg::Matrix*> table_ptrs;
-  for (const linalg::Matrix& t : tables) table_ptrs.push_back(&t);
-
-  clustering::DistanceParams params;
-  linalg::Workspace ws;
-  std::vector<linalg::Matrix> dists(tables.size());
-  std::vector<linalg::Matrix*> dist_ptrs;
-  std::vector<EpsAdjacency> adjs(tables.size());
-  std::vector<EpsAdjacency*> adj_ptrs;
-  for (std::size_t i = 0; i < tables.size(); ++i) {
-    dist_ptrs.push_back(&dists[i]);
-    adj_ptrs.push_back(&adjs[i]);
-  }
-  clustering::power_distances_adj_batch_into(table_ptrs, params, eps, ws,
-                                             dist_ptrs, adj_ptrs);
-
-  for (std::size_t i = 0; i < tables.size(); ++i) {
-    linalg::Workspace serial_ws;
-    linalg::Matrix dist;
-    EpsAdjacency adj;
-    clustering::power_distances_adj_into(tables[i], params, eps[i], serial_ws,
-                                         dist, adj);
-    expect_lower_eq(dists[i], dist, "table " + std::to_string(i));
-    EXPECT_EQ(adjs[i].offsets, adj.offsets) << "table " << i;
-    EXPECT_EQ(adjs[i].neighbors, adj.neighbors) << "table " << i;
   }
 }
 

@@ -17,7 +17,6 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -326,8 +325,8 @@ TEST(PlanCacheTest, EachSignatureComputedExactlyOnceUnderConcurrency) {
   }
   for (std::thread& t : threads) t.join();
 
-  // Compute-under-shard-lock: misses equal the distinct signatures no
-  // matter how the threads interleaved, and the counters balance.
+  // Misses equal the distinct signatures no matter how the threads
+  // interleaved, and the counters balance.
   EXPECT_EQ(calls.load(), 3);
   EXPECT_EQ(cache.misses(), 3u);
   EXPECT_EQ(cache.hits(),
@@ -365,8 +364,8 @@ TEST(PlanCacheTest, HitEqualsFreshOptimizeForTrainedFramework) {
   }
 }
 
-// A latch-style gate the blocking-factory tests use to hold the shard
-// leader inside its compute while the test arranges concurrent traffic.
+// A latch-style gate the blocking-factory tests use to hold a miss inside
+// its compute while the test arranges concurrent traffic.
 class Gate {
  public:
   void open() {
@@ -391,9 +390,9 @@ class Gate {
   bool open_ = false;
 };
 
-// The PR-6 regression target: misses used to compute under the shard lock,
-// so a hot key's hits queued behind every cold key's optimize(). Now a hit
-// must complete while a miss compute on the same shard is still running.
+// A hit must complete while a miss compute on the same shard is still
+// running: misses never compute under the shard lock, so a hot key's hits
+// never queue behind a cold key's optimize().
 TEST(PlanCacheTest, HitsDoNotBlockBehindAnInFlightMissCompute) {
   PlanCache cache(/*num_shards=*/1);  // hot and cold keys share the shard
   const dnn::Graph hot = dnn::make_alexnet(2);
@@ -425,56 +424,75 @@ TEST(PlanCacheTest, HitsDoNotBlockBehindAnInFlightMissCompute) {
   EXPECT_EQ(cache.hits(), 1u);
 }
 
-// Misses arriving while the shard leader is computing coalesce into ONE
-// batch factory call, and a duplicate of an in-flight signature joins the
-// existing computation instead of recomputing.
-TEST(PlanCacheTest, ConcurrentMissesCoalesceIntoOneBatchCall) {
+// Two misses on distinct signatures that share a shard compute at the same
+// time: each factory waits until both threads are inside their factories,
+// which only completes if neither miss holds the shard (or waits behind the
+// other). A timeout turns a serialized protocol into a failure, not a hang.
+TEST(PlanCacheTest, DistinctMissesOnOneShardComputeConcurrently) {
   PlanCache cache(/*num_shards=*/1);
   const dnn::Graph a = dnn::make_alexnet(2);
   const dnn::Graph b = dnn::make_alexnet(4);
-  const dnn::Graph c = dnn::make_alexnet(8);
 
+  std::mutex mu;
+  std::condition_variable cv;
+  int inside = 0;
+  std::atomic<int> timed_out{0};
+  const PlanCache::PlanFactory factory = [&](const dnn::Graph&) {
+    std::unique_lock<std::mutex> lock(mu);
+    ++inside;
+    cv.notify_all();
+    if (!cv.wait_for(lock, std::chrono::seconds(10),
+                     [&] { return inside == 2; })) {
+      ++timed_out;
+    }
+    return core::OptimizationPlan{};
+  };
+
+  std::thread first([&] { cache.get_or_compute(a, factory); });
+  std::thread second([&] { cache.get_or_compute(b, factory); });
+  first.join();
+  second.join();
+  EXPECT_EQ(timed_out.load(), 0) << "the two misses were serialized";
+  EXPECT_EQ(inside, 2);
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.size(), 2u);
+}
+
+// A factory error reaches the computing thread and every thread waiting on
+// the same signature, and nothing is cached.
+TEST(PlanCacheTest, FactoryErrorReachesEveryWaiter) {
+  PlanCache cache(/*num_shards=*/1);
+  const dnn::Graph g = dnn::make_alexnet(4);
   Gate entered;
   Gate release;
-  std::atomic<int> factory_calls{0};
-  std::atomic<std::size_t> max_batch{0};
-  const PlanCache::BatchPlanFactory factory =
-      [&](std::span<const dnn::Graph* const> graphs) {
-        if (factory_calls.fetch_add(1) == 0) {
-          entered.open();
-          release.wait();
-        }
-        std::size_t seen = max_batch.load();
-        while (seen < graphs.size() &&
-               !max_batch.compare_exchange_weak(seen, graphs.size())) {
-        }
-        return std::vector<core::OptimizationPlan>(graphs.size());
-      };
-
-  const auto get = [&](const dnn::Graph& g) {
-    cache.get_or_compute(graph_signature(g), g, factory);
+  const PlanCache::PlanFactory failing =
+      [&](const dnn::Graph&) -> core::OptimizationPlan {
+    entered.open();
+    release.wait();
+    throw std::runtime_error("no plan for you");
   };
-  std::thread leader([&] { get(a); });
-  entered.wait();  // the leader is parked inside compute([a])
-  std::vector<std::thread> stragglers;
-  stragglers.emplace_back([&] { get(b); });
-  stragglers.emplace_back([&] { get(c); });
-  stragglers.emplace_back([&] { get(a); });
-  // Give the stragglers time to register with the shard; if one loses the
-  // race it simply leads its own batch, which the assertions below allow
-  // for via the counters (they are interleaving-independent).
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  std::atomic<int> errors{0};
+  const auto get = [&] {
+    try {
+      cache.get_or_compute(g, failing);
+    } catch (const std::runtime_error&) {
+      ++errors;
+    }
+  };
+  std::thread computing(get);
+  entered.wait();  // the miss is in flight, parked inside its factory
+  std::thread waiter(get);
+  // Give the waiter time to find the in-flight entry; if it arrives after
+  // the failure it computes (and fails) itself, which the counts allow.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
   release.open();
-  leader.join();
-  for (std::thread& t : stragglers) t.join();
-
-  EXPECT_EQ(cache.misses(), 3u);  // a, b, c each computed exactly once
-  EXPECT_EQ(cache.hits(), 1u);    // the duplicate `a` joined in flight
-  EXPECT_EQ(cache.size(), 3u);
-  // b and c were pending together while the leader was parked, so the
-  // drain after release computes them in one call: [a], then [b, c].
-  EXPECT_EQ(factory_calls.load(), 2);
-  EXPECT_EQ(max_batch.load(), 2u);
+  computing.join();
+  waiter.join();
+  EXPECT_EQ(errors.load(), 2);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.misses(), 0u);
+  EXPECT_EQ(cache.hits(), 0u);
 }
 
 TEST(PlanCacheTest, FactoryExceptionPropagatesAndCachesNothing) {
@@ -495,18 +513,6 @@ TEST(PlanCacheTest, FactoryExceptionPropagatesAndCachesNothing) {
   }),
             nullptr);
   EXPECT_EQ(cache.misses(), 1u);
-}
-
-TEST(PlanCacheTest, BatchFactoryWrongPlanCountThrows) {
-  PlanCache cache;
-  const dnn::Graph g = dnn::make_alexnet(4);
-  const PlanCache::BatchPlanFactory broken =
-      [](std::span<const dnn::Graph* const>) {
-        return std::vector<core::OptimizationPlan>{};  // nothing for anyone
-      };
-  EXPECT_THROW(cache.get_or_compute(graph_signature(g), g, broken),
-               std::logic_error);
-  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(PlanCacheTest, PlanComputeHistogramSurfacesInPrometheusExport) {
@@ -550,13 +556,12 @@ TEST(PlanCacheTest, SignatureHitReturnsSamePlanAsGraphAdapter) {
         ++calls;
         return core::OptimizationPlan{};
       });
-  const PlanCache::BatchPlanFactory batch =
-      [&](std::span<const dnn::Graph* const> graphs) {
-        calls += static_cast<int>(graphs.size());
-        return std::vector<core::OptimizationPlan>(graphs.size());
-      };
+  const PlanCache::PlanFactory counted = [&](const dnn::Graph&) {
+    ++calls;
+    return core::OptimizationPlan{};
+  };
   const PlanCache::PlanPtr via_sig =
-      cache.get_or_compute(graph_signature(g), g, batch);
+      cache.get_or_compute(graph_signature(g), g, counted);
   EXPECT_EQ(via_sig.get(), via_graph.get());
   EXPECT_EQ(cache.lookup(graph_signature(g)).get(), via_graph.get());
   EXPECT_EQ(calls, 1);
@@ -575,14 +580,11 @@ TEST(PlanCacheTest, EachSignatureComputedOnceUnderConcurrencyOnSignatureApi) {
 
   std::mutex mu;
   std::vector<std::uint64_t> computed;
-  const PlanCache::BatchPlanFactory factory =
-      [&](std::span<const dnn::Graph* const> batch) {
-        const std::lock_guard<std::mutex> lock(mu);
-        for (const dnn::Graph* g : batch) {
-          computed.push_back(graph_signature(*g));
-        }
-        return std::vector<core::OptimizationPlan>(batch.size());
-      };
+  const PlanCache::PlanFactory factory = [&](const dnn::Graph& g) {
+    const std::lock_guard<std::mutex> lock(mu);
+    computed.push_back(graph_signature(g));
+    return core::OptimizationPlan{};
+  };
 
   constexpr int kThreads = 4;
   constexpr int kRounds = 50;
@@ -621,10 +623,9 @@ TEST(PlanCacheDeathTest, MismatchedSignatureAssertsInDebugBuilds) {
   PlanCache cache;
   const dnn::Graph g = dnn::make_alexnet(4);
   const std::uint64_t wrong = graph_signature(g) + 1;
-  const PlanCache::BatchPlanFactory factory =
-      [](std::span<const dnn::Graph* const> graphs) {
-        return std::vector<core::OptimizationPlan>(graphs.size());
-      };
+  const PlanCache::PlanFactory factory = [](const dnn::Graph&) {
+    return core::OptimizationPlan{};
+  };
   EXPECT_DEBUG_DEATH(cache.get_or_compute(wrong, g, factory),
                      "graph_signature");
 }

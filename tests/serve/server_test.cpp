@@ -18,14 +18,18 @@
 #include "baselines/ondemand.hpp"
 #include "core/powerlens.hpp"
 #include "dnn/models.hpp"
+#include "dnn/random_gen.hpp"
 #include "hw/sim_engine.hpp"
+#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
+#include "obs/residuals.hpp"
 #include "obs/trace.hpp"
 #include "serve/signature.hpp"
 #include "support/json_parser.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -272,6 +276,77 @@ TEST_F(ServerTest, ReportsInvariantToWorkerCount) {
   const ServeReport eight = serve_with(ServePolicy::kPowerLens, 8);
   expect_identical(one, four);
   expect_identical(one, eight);
+}
+
+// A cold population: about 40 never-seen graphs, some requested more than
+// once, so distinct misses share plan-cache shards and repeated requests
+// wait on in-flight computations. At every worker count the report,
+// journal and residual bytes match, misses equal the distinct models, and
+// every resident plan equals a fresh optimize().
+TEST_F(ServerTest, ColdPopulationServeIsWorkerCountInvariant) {
+  constexpr std::size_t kModels = 40;
+  dnn::RandomDnnGenerator generator(23);
+  std::vector<DeployedModel> population;
+  for (std::size_t i = 0; i < kModels; ++i) {
+    dnn::Graph graph = generator.generate();
+    std::string name = graph.name();
+    population.push_back({std::move(name), std::move(graph)});
+  }
+  std::vector<std::uint64_t> sigs;
+  for (const DeployedModel& m : population) {
+    sigs.push_back(graph_signature(m.graph));
+  }
+  std::sort(sigs.begin(), sigs.end());
+  const std::size_t distinct = static_cast<std::size_t>(
+      std::unique(sigs.begin(), sigs.end()) - sigs.begin());
+
+  // Every model once, then every third model again, interleaved so repeats
+  // arrive while their first request may still be computing.
+  std::vector<Task> tasks;
+  for (std::size_t i = 0; i < kModels; ++i) {
+    tasks.push_back({.id = tasks.size(), .model_index = i, .passes = 1});
+    if (i % 3 == 0) {
+      tasks.push_back({.id = tasks.size(), .model_index = i / 2,
+                       .passes = 2});
+    }
+  }
+
+  std::string want_report;
+  std::string want_journal;
+  std::string want_residuals;
+  for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    obs::Journal journal;
+    obs::Residuals residuals;
+    ServerConfig cfg;
+    cfg.policy = ServePolicy::kPowerLens;
+    cfg.num_workers = workers;
+    cfg.journal = &journal;
+    cfg.residuals = &residuals;
+    Server server(*platform_, population, cfg, framework_);
+    const ServeReport report = server.serve(tasks);
+    EXPECT_EQ(report.plan_cache_misses, distinct);
+    EXPECT_EQ(report.plan_cache_hits, tasks.size() - distinct);
+    for (const DeployedModel& m : population) {
+      const PlanCache::PlanPtr plan =
+          server.plan_cache().lookup(graph_signature(m.graph));
+      ASSERT_NE(plan, nullptr) << m.name;
+      EXPECT_TRUE(*plan == framework_->optimize(m.graph)) << m.name;
+    }
+
+    std::ostringstream os;
+    report.write_json(os);
+    if (workers == 1) {
+      want_report = os.str();
+      want_journal = journal.jsonl();
+      want_residuals = residuals.json();
+      ASSERT_GT(journal.appended(), tasks.size());
+      continue;
+    }
+    EXPECT_EQ(os.str(), want_report);
+    EXPECT_EQ(journal.jsonl(), want_journal);
+    EXPECT_EQ(residuals.json(), want_residuals);
+  }
 }
 
 TEST_F(ServerTest, CacheOnOffIdenticalResults) {

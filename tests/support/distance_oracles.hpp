@@ -13,7 +13,8 @@
 //     rescans, a frontier that re-enqueues labeled points).
 //   - mahalanobis_distances_naive: the per-pair quadratic form
 //     diffᵀ·pinv(cov)·diff — an independent factorization, equal to the
-//     whitened path only up to rounding.
+//     whitened path only up to rounding — with pseudo_inverse_spd, the
+//     explicit Moore-Penrose pseudo-inverse it reads.
 #pragma once
 
 #include "clustering/dbscan.hpp"
@@ -212,6 +213,32 @@ inline std::vector<int> dbscan_dense(const linalg::Matrix& distances,
   return clustering::dbscan(adjacency_oracle(distances, params.eps), params);
 }
 
+// Moore-Penrose pseudo-inverse of a symmetric PSD matrix. Eigenvalues whose
+// magnitude is below rcond * max_eigenvalue are treated as zero.
+inline linalg::Matrix pseudo_inverse_spd(const linalg::Matrix& a,
+                                         double rcond = 1e-10) {
+  const linalg::EigenDecomposition ed = linalg::eigen_symmetric(a);
+  const std::size_t n = a.rows();
+  double max_ev = 0.0;
+  for (double ev : ed.values) max_ev = std::max(max_ev, std::abs(ev));
+  const double cutoff = rcond * std::max(max_ev, 1e-300);
+
+  // A^+ = V diag(1/lambda_i where |lambda_i| > cutoff, else 0) V^T.
+  linalg::Matrix out(n, n);
+  for (std::size_t k = 0; k < n; ++k) {
+    if (std::abs(ed.values[k]) <= cutoff) continue;
+    const double inv = 1.0 / ed.values[k];
+    for (std::size_t i = 0; i < n; ++i) {
+      const double vik = ed.vectors(i, k);
+      if (vik == 0.0) continue;
+      for (std::size_t j = 0; j < n; ++j) {
+        out(i, j) += inv * vik * ed.vectors(j, k);
+      }
+    }
+  }
+  return out;
+}
+
 // Reference O(n²·d²) Mahalanobis distances (per-pair diffᵀ·pinv(cov)·diff).
 inline linalg::Matrix mahalanobis_distances_naive(const linalg::Matrix& x) {
   const std::size_t n = x.rows();
@@ -219,7 +246,7 @@ inline linalg::Matrix mahalanobis_distances_naive(const linalg::Matrix& x) {
   if (n == 0 || d == 0) {
     throw std::invalid_argument("mahalanobis_distances: empty feature table");
   }
-  const linalg::Matrix p = linalg::pseudo_inverse_spd(linalg::covariance(x));
+  const linalg::Matrix p = pseudo_inverse_spd(linalg::covariance(x));
 
   linalg::Matrix dist(n, n);
   std::vector<double> diff(d);
