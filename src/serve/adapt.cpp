@@ -20,9 +20,8 @@ namespace {
 
 // Adaptation records live above the per-request sequence range (request = 1,
 // attempts = 2..): the epoch summary sits at 32 and re-plan records follow,
-// all keyed on the epoch's last task id, so the journal's per-thread
-// (run, task, seq) monotonicity holds across the fold thread's interleaved
-// request and adaptation appends.
+// all keyed on the epoch's last task id, so they sort after that task's
+// records and before the next epoch's.
 constexpr std::uint32_t kSeqAdaptEpoch = 32;
 
 // Single-epoch correction ratios and the cumulative composition are both

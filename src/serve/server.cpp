@@ -12,10 +12,10 @@
 #include "obs/residuals.hpp"
 #include "obs/trace.hpp"
 #include "serve/adapt.hpp"
-#include "serve/queue.hpp"
 #include "serve/signature.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <condition_variable>
 #include <exception>
@@ -42,7 +42,7 @@ constexpr int kQueueTid = 1;   // in-system depth counter + rejections
 constexpr int kWaitTid = 2;    // async queue-wait spans (overlapping)
 
 // Journal seq slots per request: 0 = the run header (task 0 only), 1 = the
-// fold's request record, 2 + attempt = each worker-side execution attempt.
+// request record, 2 + attempt = each execution attempt.
 // The adaptation layer's epoch records live at 32+ (serve/adapt.cpp).
 constexpr std::uint32_t kSeqRequest = 1;
 constexpr std::uint32_t kSeqFirstAttempt = 2;
@@ -88,9 +88,6 @@ Server::Server(const hw::Platform& platform,
       throw std::invalid_argument("Server: deployed model '" + m.name +
                                   "' has an empty graph");
     }
-  }
-  if (config_.dispatch_depth == 0) {
-    throw std::invalid_argument("Server: dispatch_depth must be positive");
   }
   config_.faults.validate();
   if (config_.degrade.backoff_base_s < 0.0 ||
@@ -194,24 +191,22 @@ std::vector<Server::ServiceResult> Server::simulate_parallel(
 
   const std::size_t num_workers =
       std::min(std::max<std::size_t>(1, config_.num_workers), tasks.size());
-  BoundedQueue<std::size_t> queue(config_.dispatch_depth);
-  std::mutex error_mu;
-  std::exception_ptr first_error;
-  // Workers publish each finished result here; the calling thread hands
-  // the published prefix to fold_ready while later tasks still simulate.
+  // Workers claim ascending task indices; the first failure stops claims.
+  std::atomic<std::size_t> next_task{0};
+  std::atomic<bool> stop{false};
+  // Workers publish each finished result (or the first error) here; the
+  // calling thread hands the published prefix to fold_ready while later
+  // tasks still simulate.
   std::mutex publish_mu;
   std::condition_variable publish_cv;
   std::vector<char> published(tasks.size(), 0);
   std::size_t workers_done = 0;
+  std::exception_ptr first_error;
 
   const bool inject = config_.faults.active();
   // Without faults or a trace to feed, a run is a pure function of (model,
   // plan, passes), so each worker simulates it once per call (DESIGN §5m).
   const bool memoize = !inject && !obs::default_trace().enabled();
-  // Each worker appends attempt records under strictly increasing
-  // (run, task, seq) keys — the dispatch loop hands out ascending task
-  // indices, so the journal's per-shard monotonicity contract holds.
-  obs::Journal* const journal = active_journal();
   const auto worker = [&] {
     // Each worker owns its simulator and CPU governor; runs are independent
     // (the governor resets per run), so results are keyed by task index and
@@ -234,11 +229,11 @@ std::vector<Server::ServiceResult> Server::simulate_parallel(
     std::map<std::tuple<std::size_t, const core::OptimizationPlan*, int>,
              Memoized>
         memo;
-    bool draining = false;
-    while (const std::optional<std::size_t> idx = queue.pop()) {
-      if (draining) continue;  // a sibling failed; keep the producer moving
+    while (!stop.load(std::memory_order_relaxed)) {
+      const std::size_t idx = next_task.fetch_add(1, std::memory_order_relaxed);
+      if (idx >= tasks.size()) break;
       try {
-        const Task& task = tasks[*idx];
+        const Task& task = tasks[idx];
         const DeployedModel& model = models_[task.model_index];
         PlanCache::PlanPtr plan;  // keeps the schedule alive through run()
         if (config_.policy == ServePolicy::kPowerLens) {
@@ -324,37 +319,19 @@ std::vector<Server::ServiceResult> Server::simulate_parallel(
           } else {
             out.images = r.images;
           }
-          if (journal != nullptr) {
-            obs::JsonWriter w;
-            w.field("attempt", static_cast<double>(attempt));
-            w.field("time_s", rec.time_s);
-            w.field("energy_j", rec.energy_j);
-            w.field("mean_power_w", rec.mean_power_w);
-            w.field("peak_power_w", rec.peak_power_w);
-            w.field("dvfs_transitions",
-                    static_cast<double>(rec.dvfs_transitions));
-            w.field("faults", fault::fault_tag(rec.faults));
-            w.field("degraded", rec.degraded);
-            w.field("pinned", rec.pinned);
-            if (rec.backoff_s > 0.0) w.field("backoff_s", rec.backoff_s);
-            journal->append(run_id_, task.id,
-                            kSeqFirstAttempt + static_cast<std::uint32_t>(
-                                                   attempt),
-                            "attempt", w.body());
-          }
           out.attempts.push_back(rec);
           if (!degraded) break;
         }
-        results[*idx] = std::move(out);
+        results[idx] = std::move(out);
         {
           const std::lock_guard<std::mutex> lock(publish_mu);
-          published[*idx] = 1;
+          published[idx] = 1;
         }
         publish_cv.notify_one();
       } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mu);
+        const std::lock_guard<std::mutex> lock(publish_mu);
         if (!first_error) first_error = std::current_exception();
-        draining = true;
+        stop.store(true, std::memory_order_relaxed);
       }
     }
     {
@@ -364,19 +341,17 @@ std::vector<Server::ServiceResult> Server::simulate_parallel(
     publish_cv.notify_one();
   };
 
-  // Folds the longest published prefix past `folded`. With `wait`, first
-  // blocks until the next result is published or every worker has exited
-  // (a failed task is never published). Returns whether it folded any.
+  // Folds the longest published prefix past `folded`, first blocking until
+  // the next result is published or every worker has exited (a failed task
+  // is never published). Returns whether it folded any.
   std::size_t folded = 0;
-  const auto fold_published = [&](bool wait) {
+  const auto fold_published = [&] {
     std::size_t end = folded;
     {
       std::unique_lock<std::mutex> lock(publish_mu);
-      if (wait) {
-        publish_cv.wait(lock, [&] {
-          return published[folded] != 0 || workers_done == num_workers;
-        });
-      }
+      publish_cv.wait(lock, [&] {
+        return published[folded] != 0 || workers_done == num_workers;
+      });
       while (end < tasks.size() && published[end] != 0) ++end;
     }
     if (end == folded) return false;
@@ -389,33 +364,16 @@ std::vector<Server::ServiceResult> Server::simulate_parallel(
   std::vector<std::thread> workers;
   workers.reserve(num_workers);
   for (std::size_t w = 0; w < num_workers; ++w) workers.emplace_back(worker);
-  bool dispatch_failed = false;
   try {
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      if (!queue.push(i)) {
-        // push() returning false means the queue was closed under us; a
-        // silent drop here would serve a stream with holes in it. Drain
-        // the workers, then fail the whole serve() call loudly.
-        dispatch_failed = true;
-        break;
-      }
-      fold_published(/*wait=*/false);
-    }
-    queue.close();
-    while (folded < tasks.size() && fold_published(/*wait=*/true)) {
+    while (folded < tasks.size() && fold_published()) {
     }
   } catch (...) {
     // fold_ready threw: stop the workers before unwinding.
-    queue.close();
+    stop.store(true, std::memory_order_relaxed);
     for (std::thread& t : workers) t.join();
     throw;
   }
   for (std::thread& t : workers) t.join();
-  if (dispatch_failed) {
-    throw std::runtime_error(
-        "Server: dispatch queue closed mid-stream; request dispatch "
-        "incomplete");
-  }
   if (first_error) std::rethrow_exception(first_error);
   return results;
 }
@@ -526,9 +484,11 @@ class Server::Fold {
   ServeReport finish();
 
  private:
-  // One structured record per request (admitted, rejected, or shed), under
-  // the fold's deterministic seq slot.
-  void journal_request(const RequestOutcome& o, std::string_view outcome) {
+  // One structured record per request (admitted, rejected, or shed), then
+  // one per execution attempt the workers simulated for it — every record
+  // of a serve() call is appended here, in ascending key order.
+  void journal_request(const RequestOutcome& o, const ServiceResult& svc,
+                       std::string_view outcome) {
     if (journal_ == nullptr) return;
     obs::JsonWriter w;
     w.field("model", s_.models_[o.model_index].name);
@@ -561,6 +521,23 @@ class Server::Fold {
     w.field_or_null("latency_residual", o.latency_residual);
     w.field_or_null("energy_residual", o.energy_residual);
     journal_->append(s_.run_id_, o.task_id, kSeqRequest, "request", w.body());
+    for (std::size_t a = 0; a < svc.attempts.size(); ++a) {
+      const AttemptRecord& rec = svc.attempts[a];
+      obs::JsonWriter aw;
+      aw.field("attempt", static_cast<double>(a));
+      aw.field("time_s", rec.time_s);
+      aw.field("energy_j", rec.energy_j);
+      aw.field("mean_power_w", rec.mean_power_w);
+      aw.field("peak_power_w", rec.peak_power_w);
+      aw.field("dvfs_transitions", static_cast<double>(rec.dvfs_transitions));
+      aw.field("faults", fault::fault_tag(rec.faults));
+      aw.field("degraded", rec.degraded);
+      aw.field("pinned", rec.pinned);
+      if (rec.backoff_s > 0.0) aw.field("backoff_s", rec.backoff_s);
+      journal_->append(s_.run_id_, o.task_id,
+                       kSeqFirstAttempt + static_cast<std::uint32_t>(a),
+                       "attempt", aw.body());
+    }
   }
 
   Server& s_;
@@ -609,6 +586,7 @@ void Server::Fold::consume(std::span<const Task> tasks,
       plan_seen_[task.model_index] = true;
     }
 
+    const ServiceResult& svc = services[i];
     while (!in_system_.empty() && in_system_.top() <= task.arrival_s) {
       in_system_.pop();
     }
@@ -621,11 +599,10 @@ void Server::Fold::consume(std::span<const Task> tasks,
                            {obs::TraceArg::num(
                                "task", static_cast<double>(task.id))});
       }
-      journal_request(out, "rejected");
+      journal_request(out, svc, "rejected");
       continue;
     }
 
-    const ServiceResult& svc = services[i];
     if (s_.config_.degrade.shed_doomed && task.deadline_s > 0.0) {
       // The service time is already known (the simulation ran host-side),
       // so a request that cannot meet its deadline even if started now is
@@ -640,7 +617,7 @@ void Server::Fold::consume(std::span<const Task> tasks,
                              {obs::TraceArg::num(
                                  "task", static_cast<double>(task.id))});
         }
-        journal_request(out, "shed");
+        journal_request(out, svc, "shed");
         continue;
       }
     }
@@ -734,7 +711,7 @@ void Server::Fold::consume(std::span<const Task> tasks,
       report_.dvfs_transitions += svc.dvfs_transitions;
       report_.faults += svc.faults;
     }
-    journal_request(out, "served");
+    journal_request(out, svc, "served");
 
     if (trace_ != nullptr) {
       const DeployedModel& model = s_.models_[task.model_index];
@@ -997,8 +974,8 @@ ServeReport Server::serve(std::span<const Task> tasks) {
   marks_.clear();
   reactive_faults_ = {};
   if (obs::Journal* const journal = active_journal()) {
-    // Claim this serve call's run id and stamp the run header before any
-    // worker appends — (run, 0, 0) sorts ahead of every record of the run.
+    // Claim this serve call's run id and stamp the run header before the
+    // fold appends — (run, 0, 0) sorts ahead of every record of the run.
     run_id_ = journal->begin_run();
     obs::JsonWriter w;
     w.field("policy", policy_name(config_.policy));

@@ -11,8 +11,8 @@
 //
 //  - Plan policies (PowerLens, MAXN): requests are independent simulator
 //    runs (the preset schedule resets at each request boundary, exactly the
-//    Figure 5 protocol), so worker threads pull request indices from a
-//    bounded MPMC queue and write results into per-index slots. Without
+//    Figure 5 protocol), so worker threads claim ascending request indices
+//    from one atomic counter and write results into per-index slots. Without
 //    fault injection or an enabled default trace, a run is a pure function
 //    of (model, plan, passes), so each worker simulates a repeated one once
 //    per simulate_parallel call and reuses its result, still counting it in
@@ -26,11 +26,11 @@
 //
 // Either way, a deterministic single-threaded fold over the tasks in
 // arrival order builds the serving timeline (for plan policies, on the
-// dispatching thread while the workers simulate later requests):
-// admission control (bounded in-system task count on the *simulated*
-// clock), start/finish times on the single device, per-request latency and
-// deadline accounting, metrics, and per-request trace spans on a virtual
-// track.
+// calling thread while the workers simulate later requests): admission
+// control (bounded in-system task count on the *simulated* clock),
+// start/finish times on the single device, per-request latency and
+// deadline accounting, metrics, per-request trace spans on a virtual
+// track, and every journal record. Workers only simulate.
 //
 // Fault injection and graceful degradation: ServerConfig::faults turns on
 // the deterministic hardware fault model (src/fault). Plan policies derive
@@ -126,8 +126,6 @@ struct ServerConfig {
   // only; reactive streams are inherently sequential). Results are
   // invariant to this value.
   std::size_t num_workers = 1;
-  // Capacity of the host-side dispatch queue (backpressure only).
-  std::size_t dispatch_depth = 64;
   // Admission control: maximum tasks in system (waiting + in service) on
   // the simulated clock; arrivals beyond it are rejected. 0 = unbounded.
   // Plan policies only — see the header comment.
@@ -150,8 +148,9 @@ struct ServerConfig {
   obs::TraceWriter* trace = nullptr;
   // Structured per-request event journal; null means obs::default_journal().
   // Always on by default — records are bounded, deterministic, and cheap
-  // (one uncontended lock + string per event); journal_enabled = false is
-  // the overhead-measurement escape hatch.
+  // (one string per event, appended by the fold on the serve() calling
+  // thread under one journal lock); journal_enabled = false is the
+  // overhead-measurement escape hatch.
   obs::Journal* journal = nullptr;
   bool journal_enabled = true;
   // Predicted-vs-observed accounting sink; null means
@@ -360,7 +359,8 @@ class Server {
   // The calling thread hands each finished prefix of results to
   // `fold_ready` while later requests still simulate; on a clean return
   // every result has been handed over exactly once. A worker's exception
-  // is rethrown after every worker has stopped.
+  // stops further claims and is rethrown after every worker has stopped;
+  // by then only the published prefix before the failed task was folded.
   std::vector<ServiceResult> simulate_parallel(std::span<const Task> tasks,
                                                const FoldReady& fold_ready);
   // One continuous run_workload, split into per-request results by marks.

@@ -2,18 +2,20 @@
 //
 // The load-bearing property is the export contract: the JSONL bytes are a
 // pure function of the (run, task, seq, event, fields) records appended —
-// never of which thread appended them, in how many shards they landed, or
-// how the ring wrapped. These tests drive that directly: a multi-threaded
-// append pattern must export byte-identically to its single-threaded
-// reference, with and without capacity overflow.
+// never of which thread appended them, in what order, or when the bound
+// trimmed. These tests drive that directly: multi-threaded and shuffled
+// append patterns must export byte-identically to an in-order
+// single-threaded reference, with and without capacity overflow.
 #include "obs/journal.hpp"
 
 #include "support/json_parser.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -143,6 +145,68 @@ TEST(JournalTest, MultiThreadedOverflowStillMatchesReference) {
   EXPECT_EQ(racy.jsonl(), reference.jsonl());
 }
 
+// Keys arriving in any order, from any threads, export the top `capacity`
+// of them: the same bytes as appending them in order, and the journal never
+// holds more than twice its capacity.
+TEST(JournalTest, AnyAppendOrderExportsTheTopCapacityKeys) {
+  constexpr std::size_t kCapacity = 32;
+  constexpr std::uint64_t kTasks = 100;  // x 2 seqs = 200 keys
+  struct Key {
+    std::uint64_t task;
+    std::uint32_t seq;
+  };
+  std::vector<Key> keys;
+  for (std::uint64_t task = 0; task < kTasks; ++task) {
+    for (std::uint32_t seq = 1; seq <= 2; ++seq) keys.push_back({task, seq});
+  }
+  const auto append = [](Journal& journal, std::uint64_t run, const Key& k) {
+    journal.append(run, k.task, k.seq, k.seq == 1 ? "request" : "attempt",
+                   "\"task_sq\": " + std::to_string(k.task * k.task));
+  };
+
+  Journal reference(kCapacity);
+  const std::uint64_t run = reference.begin_run();
+  for (const Key& k : keys) append(reference, run, k);
+
+  {
+    SCOPED_TRACE("one thread, seeded shuffle");
+    std::vector<Key> shuffled = keys;
+    std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937_64(17));
+    Journal journal(kCapacity);
+    ASSERT_EQ(journal.begin_run(), run);
+    for (const Key& k : shuffled) {
+      append(journal, run, k);
+      ASSERT_LE(journal.resident(), 2 * journal.capacity());
+    }
+    EXPECT_EQ(journal.jsonl(), reference.jsonl());
+  }
+  {
+    SCOPED_TRACE("four threads, interleaved non-monotone keys");
+    constexpr std::size_t kThreads = 4;
+    Journal journal(kCapacity);
+    ASSERT_EQ(journal.begin_run(), run);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      // Thread t takes every fourth key, walks them in a per-thread
+      // shuffled order, and re-checks the bound after each append.
+      threads.emplace_back([&, t] {
+        std::vector<Key> mine;
+        for (std::size_t i = t; i < keys.size(); i += kThreads) {
+          mine.push_back(keys[i]);
+        }
+        std::shuffle(mine.begin(), mine.end(), std::mt19937_64(100 + t));
+        for (const Key& k : mine) {
+          append(journal, run, k);
+          EXPECT_LE(journal.resident(), 2 * journal.capacity());
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    EXPECT_EQ(journal.appended(), keys.size());
+    EXPECT_EQ(journal.jsonl(), reference.jsonl());
+  }
+}
+
 TEST(JournalTest, DisabledJournalDropsAppends) {
   Journal journal;
   journal.set_enabled(false);
@@ -162,7 +226,7 @@ TEST(JournalTest, ClearDropsRecordsButRunIdsKeepIncreasing) {
   EXPECT_EQ(journal.resident(), 0u);
   const std::uint64_t second = journal.begin_run();
   EXPECT_GT(second, first);
-  // Post-clear appends still export (the thread-local shard cache survives).
+  // Post-clear appends still export.
   journal.append(second, 0, 0, "e", "");
   const std::vector<std::string> lines = lines_of(journal.jsonl());
   ASSERT_EQ(lines.size(), 2u);

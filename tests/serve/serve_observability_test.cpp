@@ -369,6 +369,31 @@ TEST_F(ServeObservabilityTest, DisabledInstrumentationLeavesSinksUntouched) {
   EXPECT_EQ(report.residual_scored, report.admitted);
 }
 
+// A long-lived journal stays within twice its capacity however many
+// serve() calls (each with fresh worker threads) append to it, and its
+// export does not depend on the worker count.
+TEST_F(ServeObservabilityTest, RepeatedServesKeepTheJournalBounded) {
+  constexpr std::size_t kServes = 40;
+  constexpr std::size_t kCapacity = 256;
+  obs::Journal j1(kCapacity);
+  obs::Journal j4(kCapacity);
+  for (const std::size_t workers : {1u, 4u}) {
+    obs::Journal& journal = workers == 1 ? j1 : j4;
+    Server server(*platform_, *models_,
+                  config_with(ServePolicy::kMaxn, workers, {}, &journal),
+                  framework_);
+    RequestStreamConfig stream = stream_config();
+    stream.num_tasks = 200;
+    for (std::size_t call = 0; call < kServes; ++call) {
+      server.serve(RequestStream(models_->size(), stream));
+      ASSERT_LE(journal.resident(), 2 * journal.capacity())
+          << workers << " workers, after serve " << call;
+    }
+  }
+  EXPECT_EQ(j4.appended(), j1.appended());
+  EXPECT_EQ(j4.jsonl(), j1.jsonl());
+}
+
 // --- trace spans: retry/fallback annotations on the device track ---
 
 TEST_F(ServeObservabilityTest, TraceAnnotatesAttemptsBackoffAndFallback) {

@@ -564,38 +564,60 @@ TEST_F(ServerTest, FailingRequestMidStreamRethrowsWithoutHanging) {
   // mobilenet_v3's resident plan asks for a GPU level off the ladder, so
   // each of its requests throws std::out_of_range inside a worker while
   // the other models' requests simulate and fold. serve() must stop every
-  // worker and rethrow, also when the dispatch queue holds a single
-  // request and the dispatcher blocks on it. serve() runs on a
-  // helper thread: one that has neither returned nor thrown after a minute
-  // is hung, and a hung thread cannot be joined, so the process exits.
+  // worker and rethrow, leaving only the folded prefix in the journal.
+  // serve() runs on a helper thread: one that has neither returned nor
+  // thrown after a minute is hung, and a hung thread cannot be joined, so
+  // the process exits.
   core::OptimizationPlan broken;
   broken.schedule.points = {{0, platform_->gpu_levels()}};
   const auto plan =
       std::make_shared<const core::OptimizationPlan>(std::move(broken));
   for (const std::size_t workers : {1u, 2u, 4u}) {
-    for (const std::size_t depth : {1u, 64u}) {
-      ServerConfig cfg;
-      cfg.policy = ServePolicy::kPowerLens;
-      cfg.num_workers = workers;
-      cfg.dispatch_depth = depth;
-      Server server(*platform_, *models_, cfg, framework_);
-      ASSERT_TRUE(server.plan_cache().preload(
-          graph_signature((*models_)[1].graph), plan));
-      std::packaged_task<void()> serve([&] {
-        server.serve(
-            RequestStream(models_->size(), stream_config(/*tasks=*/24)));
-      });
-      std::future<void> done = serve.get_future();
-      std::thread serving(std::move(serve));
-      if (done.wait_for(std::chrono::minutes(1)) ==
-          std::future_status::timeout) {
-        std::fprintf(stderr, "serve() hung: %zu workers, depth %zu\n",
-                     workers, depth);
-        std::_Exit(1);
+    ServerConfig cfg;
+    cfg.policy = ServePolicy::kPowerLens;
+    cfg.num_workers = workers;
+    obs::Journal journal;
+    cfg.journal = &journal;
+    Server server(*platform_, *models_, cfg, framework_);
+    ASSERT_TRUE(server.plan_cache().preload(
+        graph_signature((*models_)[1].graph), plan));
+    std::packaged_task<void()> serve([&] {
+      server.serve(
+          RequestStream(models_->size(), stream_config(/*tasks=*/24)));
+    });
+    std::future<void> done = serve.get_future();
+    std::thread serving(std::move(serve));
+    if (done.wait_for(std::chrono::minutes(1)) ==
+        std::future_status::timeout) {
+      std::fprintf(stderr, "serve() hung: %zu workers\n", workers);
+      std::_Exit(1);
+    }
+    serving.join();
+    EXPECT_THROW(done.get(), std::out_of_range) << workers << " workers";
+
+    // The fold journals a task's attempts right after its request record,
+    // so an attempt without a request would be a task the fold never saw.
+    std::vector<double> requested;
+    std::vector<double> attempted;
+    std::istringstream lines(journal.jsonl());
+    for (std::string line; std::getline(lines, line);) {
+      const test_support::JsonValue rec =
+          test_support::JsonParser(line).parse();
+      const std::string& event = rec.object().at("event").string();
+      if (event == "request") {
+        requested.push_back(rec.object().at("task").number());
+      } else if (event == "attempt") {
+        attempted.push_back(rec.object().at("task").number());
       }
-      serving.join();
-      EXPECT_THROW(done.get(), std::out_of_range)
-          << workers << " workers, depth " << depth;
+    }
+    for (std::size_t i = 0; i < requested.size(); ++i) {
+      EXPECT_EQ(requested[i], static_cast<double>(i)) << workers << " workers";
+    }
+    for (const double task : attempted) {
+      EXPECT_NE(std::find(requested.begin(), requested.end(), task),
+                requested.end())
+          << "attempt of unfolded task " << task << ", " << workers
+          << " workers";
     }
   }
 }

@@ -21,7 +21,9 @@
 // text of every request outcome. A third serve digest covers fault-free
 // plan-policy serves, where every request of a model repeats the same run:
 // a PowerLens and a MAXN server each serve two seeded streams over the
-// whole zoo (recorded before the workers memoized repeated runs). Both the
+// whole zoo (recorded before the workers memoized repeated runs). A fourth
+// covers serves that reject and shed requests under retrying faults into a
+// journal that evicts across serve() calls, at 1 and 4 workers. Both the
 // auto-detected kernel dispatch path and the forced scalar path must hit
 // the same constants.
 #include "baselines/fpg.hpp"
@@ -357,6 +359,67 @@ class SimServeGolden : public ::testing::Test {
     return d.value();
   }
 
+  // Plan-policy serves that reject and shed: admission capacity 3 and
+  // deadline shedding under the thermal-heavy, failure-heavy spec (so
+  // PowerLens retries and falls back), PowerLens and MAXN, three streams per
+  // server into one capacity-64 journal, so the exported window evicts
+  // across serve() calls; all of it at 1 and then 4 workers (recorded before
+  // the fold journaled attempt records).
+  static std::uint64_t rejected_and_shed_serve_digest() {
+    std::vector<DeployedModel> models;
+    for (const char* name : {"alexnet", "resnet34", "googlenet", "vgg19"}) {
+      models.push_back({name, dnn::make_model(name, 10)});
+    }
+    Digest d;
+    std::size_t rejected = 0;
+    std::size_t shed = 0;
+    std::size_t retries = 0;
+    for (const std::size_t workers : {1u, 4u}) {
+      for (const ServePolicy policy : {ServePolicy::kPowerLens,
+                                       ServePolicy::kMaxn}) {
+        ServerConfig cfg;
+        cfg.policy = policy;
+        cfg.num_workers = workers;
+        cfg.admission_capacity = 3;
+        cfg.degrade.shed_doomed = true;
+        cfg.faults = fault::FaultSpec::parse(kThermalSpec);
+        obs::Journal journal(/*capacity=*/64);
+        obs::Residuals residuals;
+        cfg.journal = &journal;
+        cfg.residuals = &residuals;
+        Server server(*tx2_, models, cfg,
+                      policy == ServePolicy::kPowerLens ? tx2_framework_
+                                                        : nullptr);
+        for (const std::uint64_t seed : {3u, 4u, 5u}) {
+          RequestStreamConfig stream;
+          stream.seed = seed;
+          stream.num_tasks = 24;
+          stream.images_per_task = 20;
+          stream.batch = 10;
+          stream.arrivals = ArrivalProcess::kPoisson;
+          stream.arrival_rate_hz = 2.0;
+          stream.deadline_s = 1.5;
+          const ServeReport report =
+              server.serve(RequestStream(models.size(), stream));
+          rejected += report.rejected;
+          shed += report.shed;
+          retries += report.retries;
+          std::ostringstream json;
+          report.write_json(json);
+          d.text(json.str());
+          for (const RequestOutcome& o : report.outcomes) d.outcome(o);
+        }
+        EXPECT_GT(journal.appended(), journal.capacity());
+        d.text(journal.jsonl());
+        d.text(residuals.json());
+      }
+    }
+    EXPECT_GT(rejected, 0u);
+    EXPECT_GT(shed, 0u);
+    EXPECT_GT(retries, 0u);
+    return d.value();
+  }
+
   static void expect_recorded_digests() {
     EXPECT_EQ(simulator_digest(*tx2_, *tx2_framework_), kTx2SimDigest);
     EXPECT_EQ(simulator_digest(*agx_, *agx_framework_), kAgxSimDigest);
@@ -374,6 +437,9 @@ class SimServeGolden : public ::testing::Test {
   static constexpr std::uint64_t kAgxCpuLevelDigest = 0x6120efe2b4d7a596ULL;
   // Recorded before the serving workers memoized repeated fault-free runs.
   static constexpr std::uint64_t kRepeatedServeDigest = 0xf1418de1d266fb38ULL;
+  // Recorded before the fold journaled attempt records.
+  static constexpr std::uint64_t kRejectedAndShedServeDigest =
+      0x179b13efb42f7d01ULL;
 
   static hw::Platform* tx2_;
   static hw::Platform* agx_;
@@ -402,6 +468,16 @@ TEST_F(SimServeGolden, RepeatedServeDigestMatchesRecordedOnAutoPath) {
 TEST_F(SimServeGolden, RepeatedServeDigestMatchesRecordedOnScalarPath) {
   const ScalarPathGuard guard;
   EXPECT_EQ(repeated_serve_digest(), kRepeatedServeDigest);
+}
+
+TEST_F(SimServeGolden, RejectedAndShedServeDigestMatchesRecordedOnAutoPath) {
+  EXPECT_EQ(rejected_and_shed_serve_digest(), kRejectedAndShedServeDigest);
+}
+
+TEST_F(SimServeGolden,
+       RejectedAndShedServeDigestMatchesRecordedOnScalarPath) {
+  const ScalarPathGuard guard;
+  EXPECT_EQ(rejected_and_shed_serve_digest(), kRejectedAndShedServeDigest);
 }
 
 }  // namespace
