@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks for the binary interchange (src/io):
-// encode/decode throughput per record type, whole-file save/load, and the
-// zero-copy mmap load path against its heap-read fallback. The interchange
-// sits on the serving cold-start path (snapshot warm start, model-dir
-// population), so its cost should stay microseconds, not milliseconds.
+// encode/decode throughput per record type and whole-file save/load. The
+// interchange sits on the serving cold-start path (snapshot warm start,
+// model-dir population), so its cost should stay microseconds, not
+// milliseconds.
 #include "io/interchange.hpp"
 
 #include "dnn/models.hpp"
@@ -73,20 +73,11 @@ void BM_DecodeCostTableHeap(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * bytes.size()));
 }
 
-void BM_LoadCostTableMmap(benchmark::State& state) {
+void BM_LoadCostTable(benchmark::State& state) {
   const std::string path = temp_file("costs.plbin");
   io::save_cost_table(path, probe_cost_table());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(io::load_cost_table(path, true));
-  }
-  std::remove(path.c_str());
-}
-
-void BM_LoadCostTableHeapFallback(benchmark::State& state) {
-  const std::string path = temp_file("costs_heap.plbin");
-  io::save_cost_table(path, probe_cost_table());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(io::load_cost_table(path, false));
+    benchmark::DoNotOptimize(io::load_cost_table(path));
   }
   std::remove(path.c_str());
 }
@@ -114,8 +105,7 @@ BENCHMARK(BM_EncodeGraph);
 BENCHMARK(BM_DecodeGraph);
 BENCHMARK(BM_EncodeCostTable);
 BENCHMARK(BM_DecodeCostTableHeap);
-BENCHMARK(BM_LoadCostTableMmap);
-BENCHMARK(BM_LoadCostTableHeapFallback);
+BENCHMARK(BM_LoadCostTable);
 BENCHMARK(BM_GraphFileRoundTrip);
 BENCHMARK(BM_SignatureAfterDecode);
 

@@ -271,7 +271,7 @@ int cmd_import(const std::string& path) {
   const io::RecordInfo info = io::inspect_record(bytes);
   switch (info.type) {
     case io::RecordType::kGraph: {
-      const dnn::Graph g = io::load_graph(path);
+      const dnn::Graph g = io::decode_graph(bytes);
       std::printf("%s: graph record, %zu payload bytes\n", path.c_str(),
                   info.payload_bytes);
       std::printf("  '%s': %zu layers, %.2f GFLOPs, %.1f M params, "
@@ -299,12 +299,11 @@ int cmd_import(const std::string& path) {
       return 0;
     }
     case io::RecordType::kCostTable: {
-      const io::LoadedCostTable loaded = io::load_cost_table(path);
-      std::printf("%s: cost-table record, %zu payload bytes (%s)\n",
-                  path.c_str(), info.payload_bytes,
-                  loaded.mmapped ? "zero-copy mmap" : "heap read");
-      std::printf("  %zu layers x %zu gpu levels\n",
-                  loaded.table.num_layers(), loaded.table.gpu_levels());
+      const hw::CostTable table = io::decode_cost_table(bytes);
+      std::printf("%s: cost-table record, %zu payload bytes\n", path.c_str(),
+                  info.payload_bytes);
+      std::printf("  %zu layers x %zu gpu levels\n", table.num_layers(),
+                  table.gpu_levels());
       return 0;
     }
     case io::RecordType::kModelBundle: {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -27,37 +28,6 @@ CostTable::CostTable(const Platform& platform, const CostFeatures& features,
                      std::span<const std::size_t> cpu_levels,
                      double cpu_load) {
   init(platform, features, cpu_levels, cpu_load);
-}
-
-CostTable::CostTable(const CostTable& other) { *this = other; }
-
-CostTable& CostTable::operator=(const CostTable& other) {
-  if (this == &other) return *this;
-  num_layers_ = other.num_layers_;
-  gpu_levels_ = other.gpu_levels_;
-  cpu_slot_ = other.cpu_slot_;
-  cpu_slots_ = other.cpu_slots_;
-  view_mode_ = other.view_mode_;
-  if (other.owns_storage()) {
-    // Owning source: copy the arrays and REBIND the query spans to this
-    // object's vectors — sharing the source's spans would dangle once the
-    // source dies, and a previously view-backed destination must drop its
-    // external aliases.
-    time_prefix_ = other.time_prefix_;
-    energy_prefix_ = other.energy_prefix_;
-    time_view_ = time_prefix_;
-    energy_view_ = energy_prefix_;
-  } else {
-    // View-backed source: share the external (mmap'd) memory and release
-    // any storage the destination used to own.
-    time_prefix_.clear();
-    time_prefix_.shrink_to_fit();
-    energy_prefix_.clear();
-    energy_prefix_.shrink_to_fit();
-    time_view_ = other.time_view_;
-    energy_view_ = other.energy_view_;
-  }
-  return *this;
 }
 
 void CostTable::init(const Platform& platform, const CostFeatures& features,
@@ -135,15 +105,13 @@ void CostTable::init(const Platform& platform, const CostFeatures& features,
       }
     }
   }
-  time_view_ = time_prefix_;
-  energy_view_ = energy_prefix_;
 }
 
-void CostTable::validate_parts(std::size_t num_layers, std::size_t gpu_levels,
-                               std::span<const std::size_t> cpu_slot,
-                               std::size_t cpu_slots,
-                               std::span<const double> time_prefix,
-                               std::span<const double> energy_prefix) {
+CostTable CostTable::from_parts(std::size_t num_layers, std::size_t gpu_levels,
+                                std::vector<std::size_t> cpu_slot,
+                                std::size_t cpu_slots,
+                                std::vector<double> time_prefix,
+                                std::vector<double> energy_prefix) {
   if (gpu_levels == 0) {
     throw std::invalid_argument("CostTable: zero gpu levels");
   }
@@ -164,19 +132,17 @@ void CostTable::validate_parts(std::size_t num_layers, std::size_t gpu_levels,
   if (assigned != cpu_slots) {
     throw std::invalid_argument("CostTable: unassigned cpu slots");
   }
-  const std::size_t expect = gpu_levels * cpu_slots * (num_layers + 1);
+  // A forged num_layers of SIZE_MAX would wrap the run length to 0 and let
+  // empty arrays pass as a table whose every query reads out of bounds.
+  const std::size_t run = num_layers + 1;
+  const std::size_t max = std::numeric_limits<std::size_t>::max();
+  if (run == 0 || cpu_slots > max / gpu_levels / run) {
+    throw std::invalid_argument("CostTable: dimensions overflow");
+  }
+  const std::size_t expect = gpu_levels * cpu_slots * run;
   if (time_prefix.size() != expect || energy_prefix.size() != expect) {
     throw std::invalid_argument("CostTable: prefix array size mismatch");
   }
-}
-
-CostTable CostTable::from_parts(std::size_t num_layers, std::size_t gpu_levels,
-                                std::vector<std::size_t> cpu_slot,
-                                std::size_t cpu_slots,
-                                std::vector<double> time_prefix,
-                                std::vector<double> energy_prefix) {
-  validate_parts(num_layers, gpu_levels, cpu_slot, cpu_slots, time_prefix,
-                 energy_prefix);
   CostTable t;
   t.num_layers_ = num_layers;
   t.gpu_levels_ = gpu_levels;
@@ -184,26 +150,6 @@ CostTable CostTable::from_parts(std::size_t num_layers, std::size_t gpu_levels,
   t.cpu_slots_ = cpu_slots;
   t.time_prefix_ = std::move(time_prefix);
   t.energy_prefix_ = std::move(energy_prefix);
-  t.time_view_ = t.time_prefix_;
-  t.energy_view_ = t.energy_prefix_;
-  return t;
-}
-
-CostTable CostTable::from_view(std::size_t num_layers, std::size_t gpu_levels,
-                               std::vector<std::size_t> cpu_slot,
-                               std::size_t cpu_slots,
-                               std::span<const double> time_prefix,
-                               std::span<const double> energy_prefix) {
-  validate_parts(num_layers, gpu_levels, cpu_slot, cpu_slots, time_prefix,
-                 energy_prefix);
-  CostTable t;
-  t.num_layers_ = num_layers;
-  t.gpu_levels_ = gpu_levels;
-  t.cpu_slot_ = std::move(cpu_slot);
-  t.cpu_slots_ = cpu_slots;
-  t.view_mode_ = true;
-  t.time_view_ = time_prefix;
-  t.energy_view_ = energy_prefix;
   return t;
 }
 
@@ -213,17 +159,9 @@ CostTable::Raw CostTable::raw() const noexcept {
   r.gpu_levels = gpu_levels_;
   r.cpu_slot = cpu_slot_;
   r.cpu_slots = cpu_slots_;
-  r.time_prefix = time_view_;
-  r.energy_prefix = energy_view_;
+  r.time_prefix = time_prefix_;
+  r.energy_prefix = energy_prefix_;
   return r;
-}
-
-bool CostTable::operator==(const CostTable& other) const noexcept {
-  return num_layers_ == other.num_layers_ &&
-         gpu_levels_ == other.gpu_levels_ && cpu_slot_ == other.cpu_slot_ &&
-         cpu_slots_ == other.cpu_slots_ &&
-         std::ranges::equal(time_view_, other.time_view_) &&
-         std::ranges::equal(energy_view_, other.energy_view_);
 }
 
 bool CostTable::has_cpu_level(std::size_t cpu_level) const noexcept {
@@ -248,8 +186,8 @@ BlockCost CostTable::block_cost(std::size_t begin, std::size_t end,
     throw std::out_of_range("CostTable: bad layer range");
   }
   const std::size_t base = plane(gpu_level, cpu_level) * (num_layers_ + 1);
-  return {time_view_[base + end] - time_view_[base + begin],
-          energy_view_[base + end] - energy_view_[base + begin]};
+  return {time_prefix_[base + end] - time_prefix_[base + begin],
+          energy_prefix_[base + end] - energy_prefix_[base + begin]};
 }
 
 std::size_t CostTable::optimal_gpu_level(std::size_t begin, std::size_t end,
@@ -278,17 +216,9 @@ CostTable CostTable::scaled(double time_factor, double energy_factor) const {
       !std::isfinite(energy_factor) || energy_factor <= 0.0) {
     throw std::invalid_argument("CostTable: scale factors must be positive");
   }
-  CostTable t;
-  t.num_layers_ = num_layers_;
-  t.gpu_levels_ = gpu_levels_;
-  t.cpu_slot_ = cpu_slot_;
-  t.cpu_slots_ = cpu_slots_;
-  t.time_prefix_.assign(time_view_.begin(), time_view_.end());
-  t.energy_prefix_.assign(energy_view_.begin(), energy_view_.end());
+  CostTable t = *this;
   for (double& v : t.time_prefix_) v *= time_factor;
   for (double& v : t.energy_prefix_) v *= energy_factor;
-  t.time_view_ = t.time_prefix_;
-  t.energy_view_ = t.energy_prefix_;
   return t;
 }
 

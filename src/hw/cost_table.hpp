@@ -13,12 +13,8 @@
 // starting at layer 0 is bitwise identical to the direct computation;
 // queries starting mid-graph differ only by one floating-point subtraction.
 //
-// Storage comes in two modes behind the same query interface: tables built
-// by the constructors (or CostTable::from_parts) own their prefix arrays in
-// vectors, while CostTable::from_view reads them from externally owned
-// memory — the zero-copy half of the binary interchange (src/io), where the
-// arrays live page-aligned inside an mmap'd .plbin file. Queries go through
-// spans either way, so the hot path is identical in both modes.
+// A table is a plain value: it owns its prefix arrays in vectors, so copies,
+// moves and equality are the compiler's memberwise ones.
 #pragma once
 
 #include "hw/analytic.hpp"
@@ -36,8 +32,8 @@ class CostTable {
   // precomputed (see raw()).
   static constexpr std::size_t kNoSlot = std::numeric_limits<std::size_t>::max();
 
-  // An empty table: nothing precomputed, every query throws. Exists so the
-  // interchange loaders can stage into a member before filling it.
+  // An empty table: nothing precomputed, every query throws. Exists so a
+  // caller can declare a table and assign it later.
   CostTable() = default;
 
   // Precomputes all (gpu_level, cpu_level) pairs of `platform`.
@@ -57,15 +53,6 @@ class CostTable {
   CostTable(const Platform& platform, const CostFeatures& features,
             std::span<const std::size_t> cpu_levels, double cpu_load = 0.2);
 
-  // Copies re-anchor the query spans into the copied vectors when the
-  // source owns its storage; view-mode copies share the external memory.
-  CostTable(const CostTable& other);
-  CostTable& operator=(const CostTable& other);
-  // Moves never relocate the underlying doubles (vector moves transfer the
-  // allocation), so the spans stay valid as-is.
-  CostTable(CostTable&&) noexcept = default;
-  CostTable& operator=(CostTable&&) noexcept = default;
-
   // --- Serialized-parts interface (the binary interchange, src/io) ---
 
   struct Raw {
@@ -79,26 +66,18 @@ class CostTable {
   };
   Raw raw() const noexcept;
 
-  // Owning rebuild from serialized parts (the heap-read load path).
-  // Validates every structural invariant the constructors establish and
-  // throws std::invalid_argument on a violation.
+  // Rebuild from serialized parts (the interchange decoder). Validates
+  // every structural invariant the constructors establish, dimension
+  // overflow included, and throws std::invalid_argument on a violation.
   static CostTable from_parts(std::size_t num_layers, std::size_t gpu_levels,
                               std::vector<std::size_t> cpu_slot,
                               std::size_t cpu_slots,
                               std::vector<double> time_prefix,
                               std::vector<double> energy_prefix);
-  // Non-owning rebuild over externally owned prefix arrays (the mmap load
-  // path). The caller must keep the backing memory alive and immutable for
-  // the table's lifetime; cpu_slot is tiny and copied. Same validation.
-  static CostTable from_view(std::size_t num_layers, std::size_t gpu_levels,
-                             std::vector<std::size_t> cpu_slot,
-                             std::size_t cpu_slots,
-                             std::span<const double> time_prefix,
-                             std::span<const double> energy_prefix);
 
-  // Value equality over metadata and prefix contents, whatever the storage
-  // mode — the interchange round-trip contract.
-  bool operator==(const CostTable& other) const noexcept;
+  // Value equality over metadata and prefix contents — the interchange
+  // round-trip contract.
+  bool operator==(const CostTable&) const = default;
 
   std::size_t num_layers() const noexcept { return num_layers_; }
   std::size_t gpu_levels() const noexcept { return gpu_levels_; }
@@ -133,34 +112,17 @@ class CostTable {
  private:
   void init(const Platform& platform, const CostFeatures& features,
             std::span<const std::size_t> cpu_levels, double cpu_load);
-  static void validate_parts(std::size_t num_layers, std::size_t gpu_levels,
-                             std::span<const std::size_t> cpu_slot,
-                             std::size_t cpu_slots,
-                             std::span<const double> time_prefix,
-                             std::span<const double> energy_prefix);
   std::size_t plane(std::size_t gpu_level, std::size_t cpu_level) const;
-  // Explicit storage-mode flag (not a pointer comparison): copy assignment
-  // must rebind the query spans for owning tables and share them for
-  // view-backed ones, and a pointer test cannot tell a moved-from owner
-  // from a view over external memory.
-  bool owns_storage() const noexcept { return !view_mode_; }
 
   std::size_t num_layers_ = 0;
   std::size_t gpu_levels_ = 0;
   // cpu level -> dense slot index, or kNoSlot when not precomputed.
   std::vector<std::size_t> cpu_slot_;
   std::size_t cpu_slots_ = 0;
-  // True only for from_view tables: the prefix spans alias external
-  // (mmap'd) memory and the vectors stay empty.
-  bool view_mode_ = false;
   // Prefix sums, one (num_layers_ + 1)-length run per (gpu, cpu-slot) plane:
-  // index [plane * (L + 1) + i] holds the cost of layers [0, i). Owned by
-  // the vectors in owning mode (views point into them), external in view
-  // mode (vectors stay empty).
+  // index [plane * (L + 1) + i] holds the cost of layers [0, i).
   std::vector<double> time_prefix_;
   std::vector<double> energy_prefix_;
-  std::span<const double> time_view_;
-  std::span<const double> energy_view_;
 };
 
 }  // namespace powerlens::hw

@@ -45,7 +45,9 @@ inline constexpr std::array<unsigned char, 4> kMagic{'P', 'L', 'B', 'N'};
 inline constexpr std::uint16_t kFormatVersion = 1;
 inline constexpr std::size_t kHeaderSize = 24;
 // Cost-table payloads align their prefix-sum arrays to this boundary
-// (relative to the start of the file) so loads can be zero-copy mmap.
+// (relative to the start of the file). Every reader decodes onto the heap,
+// so nothing depends on the alignment; the padding stays because dropping
+// it would change format version 1's bytes.
 inline constexpr std::size_t kPageAlign = 4096;
 
 enum class RecordType : std::uint16_t {

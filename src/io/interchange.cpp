@@ -1,8 +1,5 @@
 #include "io/interchange.hpp"
 
-#include <bit>
-#include <cstring>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -14,17 +11,6 @@ namespace {
 // (shapes, costs, conv, attn). Used as the per-element floor when guarding
 // the layer-count field against forged huge values.
 constexpr std::size_t kMinLayerBytes = 1 + 4 + 17 * 8;
-
-std::size_t checked_mul(std::size_t a, std::size_t b, std::size_t c) {
-  if (a != 0 && b > std::numeric_limits<std::size_t>::max() / a) {
-    throw MalformedError("cost table dimensions overflow");
-  }
-  const std::size_t ab = a * b;
-  if (ab != 0 && c > std::numeric_limits<std::size_t>::max() / ab) {
-    throw MalformedError("cost table dimensions overflow");
-  }
-  return ab * c;
-}
 
 // Re-types standard-library validation failures (Graph/PowerView
 // constructors, Graph::validate) raised while assembling objects from a
@@ -235,34 +221,6 @@ PlanRecord decode_plan_payload(std::span<const std::byte> payload) {
   return out;
 }
 
-// --- Cost-table payload ---
-
-struct CostTableMeta {
-  std::size_t num_layers = 0;
-  std::size_t gpu_levels = 0;
-  std::vector<std::size_t> cpu_slot;
-  std::size_t cpu_slots = 0;
-  std::size_t array_len = 0;
-};
-
-CostTableMeta decode_cost_table_meta(Cursor& c) {
-  CostTableMeta m;
-  m.num_layers = static_cast<std::size_t>(c.u64());
-  m.gpu_levels = static_cast<std::size_t>(c.u64());
-  const std::uint64_t ladder = c.count(8);
-  m.cpu_slot.reserve(ladder);
-  for (std::uint64_t i = 0; i < ladder; ++i) {
-    m.cpu_slot.push_back(static_cast<std::size_t>(c.u64()));
-  }
-  m.cpu_slots = static_cast<std::size_t>(c.u64());
-  m.array_len = static_cast<std::size_t>(c.u64());
-  if (m.array_len !=
-      checked_mul(m.gpu_levels, m.cpu_slots, m.num_layers + 1)) {
-    throw MalformedError("cost table array length disagrees with dimensions");
-  }
-  return m;
-}
-
 }  // namespace
 
 // --- Graph records ---
@@ -345,7 +303,8 @@ std::vector<std::byte> encode_cost_table(const hw::CostTable& table) {
   w.u64(raw.cpu_slots);
   w.u64(raw.time_prefix.size());
   // Align the arrays to a page boundary of the final file (the record
-  // starts at file offset 0, so the payload begins at kHeaderSize).
+  // starts at file offset 0, so the payload begins at kHeaderSize). Readers
+  // do not rely on it; the padding is part of format version 1's bytes.
   w.pad_to(kPageAlign, kHeaderSize);
   for (double v : raw.time_prefix) w.f64(v);
   for (double v : raw.energy_prefix) w.f64(v);
@@ -356,19 +315,30 @@ hw::CostTable decode_cost_table(std::span<const std::byte> record) {
   const RecordView view = parse_record(record, RecordType::kCostTable);
   expect_single_record(view, record);
   Cursor c(view.payload);
-  CostTableMeta meta = decode_cost_table_meta(c);
+  const auto num_layers = static_cast<std::size_t>(c.u64());
+  const auto gpu_levels = static_cast<std::size_t>(c.u64());
+  const std::uint64_t ladder = c.count(8);
+  std::vector<std::size_t> cpu_slot;
+  cpu_slot.reserve(ladder);
+  for (std::uint64_t i = 0; i < ladder; ++i) {
+    cpu_slot.push_back(static_cast<std::size_t>(c.u64()));
+  }
+  const auto cpu_slots = static_cast<std::size_t>(c.u64());
+  const auto array_len = static_cast<std::size_t>(c.u64());
   c.skip_to(kPageAlign, kHeaderSize);
-  if (meta.array_len > c.remaining() / 16) {
+  // Bound the promised arrays by the bytes actually present before
+  // allocating; from_parts then checks them against the dimensions.
+  if (array_len > c.remaining() / 16) {
     throw TruncatedError("cost table arrays extend past the payload");
   }
-  std::vector<double> time(meta.array_len);
-  std::vector<double> energy(meta.array_len);
+  std::vector<double> time(array_len);
+  std::vector<double> energy(array_len);
   for (double& v : time) v = c.f64();
   for (double& v : energy) v = c.f64();
   c.expect_done("cost table payload");
   return as_malformed("cost table", [&] {
-    return hw::CostTable::from_parts(meta.num_layers, meta.gpu_levels,
-                                     std::move(meta.cpu_slot), meta.cpu_slots,
+    return hw::CostTable::from_parts(num_layers, gpu_levels,
+                                     std::move(cpu_slot), cpu_slots,
                                      std::move(time), std::move(energy));
   });
 }
@@ -377,53 +347,8 @@ void save_cost_table(const std::string& path, const hw::CostTable& table) {
   write_file(path, encode_cost_table(table));
 }
 
-LoadedCostTable load_cost_table(const std::string& path, bool allow_mmap) {
-  LoadedCostTable out;
-  out.mapping = MappedFile::map(path, allow_mmap);
-  const std::span<const std::byte> bytes = out.mapping.bytes();
-  const RecordView view = parse_record(bytes, RecordType::kCostTable);
-  if (view.total_size != bytes.size()) {
-    throw MalformedError("trailing bytes after the record");
-  }
-  Cursor c(view.payload);
-  CostTableMeta meta = decode_cost_table_meta(c);
-  c.skip_to(kPageAlign, kHeaderSize);
-  if (meta.array_len > c.remaining() / 16) {
-    throw TruncatedError("cost table arrays extend past the payload");
-  }
-  const std::size_t arrays_offset = kHeaderSize + c.offset();
-  const bool aligned =
-      reinterpret_cast<std::uintptr_t>(bytes.data() + arrays_offset) %
-          alignof(double) ==
-      0;
-  if (out.mapping.mapped() && aligned &&
-      std::endian::native == std::endian::little) {
-    // Zero-copy: the table's spans read straight out of the mapping. The
-    // on-disk doubles are little-endian IEEE-754 bit patterns, which on a
-    // little-endian host are exactly the in-memory representation.
-    const double* time =
-        reinterpret_cast<const double*>(bytes.data() + arrays_offset);
-    const double* energy = time + meta.array_len;
-    out.table = as_malformed("cost table", [&] {
-      return hw::CostTable::from_view(
-          meta.num_layers, meta.gpu_levels, std::move(meta.cpu_slot),
-          meta.cpu_slots, std::span<const double>(time, meta.array_len),
-          std::span<const double>(energy, meta.array_len));
-    });
-    out.mmapped = true;
-    return out;
-  }
-  std::vector<double> time(meta.array_len);
-  std::vector<double> energy(meta.array_len);
-  for (double& v : time) v = c.f64();
-  for (double& v : energy) v = c.f64();
-  out.table = as_malformed("cost table", [&] {
-    return hw::CostTable::from_parts(meta.num_layers, meta.gpu_levels,
-                                     std::move(meta.cpu_slot), meta.cpu_slots,
-                                     std::move(time), std::move(energy));
-  });
-  out.mmapped = false;
-  return out;
+hw::CostTable load_cost_table(const std::string& path) {
+  return decode_cost_table(read_file(path));
 }
 
 // --- Inspection + fuzzing ---

@@ -8,9 +8,8 @@
 //                           and the predicted per-pass cost fields, tagged
 //                           with the graph signature it was computed for;
 //   - hw::CostTable       — the ladder × layer prefix-sum cost grid, written
-//                           with its arrays page-aligned so loads can be
-//                           zero-copy mmap (heap-read fallback everywhere
-//                           else).
+//                           with its arrays page-aligned (a format-1 layout
+//                           detail; every load is one heap decode).
 //
 // The fourth record type, the trained model bundle, sits below this layer
 // (core::encode_model_bundle) on the same byte primitives (io/binary.hpp).
@@ -33,7 +32,6 @@
 #include "dnn/graph.hpp"
 #include "hw/cost_table.hpp"
 #include "io/binary.hpp"
-#include "io/mmap_file.hpp"
 
 #include <cstdint>
 #include <span>
@@ -81,23 +79,10 @@ std::vector<PlanRecord> load_plan_snapshot(const std::string& path);
 // to kPageAlign relative to the file start; encode_cost_table therefore
 // assumes the record begins at file offset 0.
 std::vector<std::byte> encode_cost_table(const hw::CostTable& table);
-// Heap decode: the returned table owns copies of the arrays.
 hw::CostTable decode_cost_table(std::span<const std::byte> record);
 
 void save_cost_table(const std::string& path, const hw::CostTable& table);
-
-// Zero-copy load: mmaps the file, validates the record, and — when the host
-// is little-endian and the arrays landed aligned — returns a table whose
-// prefix arrays point straight into the mapping (`mmapped = true`; keep
-// `mapping` alive as long as `table`). Otherwise, or with
-// `allow_mmap = false`, falls back to an owning heap read.
-struct LoadedCostTable {
-  hw::CostTable table;
-  MappedFile mapping;
-  bool mmapped = false;
-};
-LoadedCostTable load_cost_table(const std::string& path,
-                                bool allow_mmap = true);
+hw::CostTable load_cost_table(const std::string& path);
 
 // --- Inspection + fuzzing ---
 

@@ -38,7 +38,6 @@ Journal::Journal(std::size_t capacity)
 
 void Journal::append(std::uint64_t run, std::uint64_t task, std::uint32_t seq,
                      std::string_view event, std::string_view fields) {
-  if (!enabled()) return;
   Record rec;
   rec.run = run;
   rec.task = task;

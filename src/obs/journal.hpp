@@ -22,7 +22,9 @@
 // The serving layer appends every record of a serve() call from the
 // calling thread in ascending key order (the fold walks tasks in order), so
 // the trim's sort check passes and a trim is one erase of the oldest half.
-// A disabled journal costs a single relaxed atomic load.
+// The journal has no off-switch of its own: a server that should not
+// journal is configured with ServerConfig::journal_enabled = false and
+// never calls append.
 #pragma once
 
 #include <atomic>
@@ -58,13 +60,6 @@ class Journal {
   void append(std::uint64_t run, std::uint64_t task, std::uint32_t seq,
               std::string_view event, std::string_view fields);
 
-  bool enabled() const noexcept {
-    return enabled_.load(std::memory_order_relaxed);
-  }
-  void set_enabled(bool on) noexcept {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
-
   std::size_t capacity() const noexcept { return capacity_; }
   // Records accepted since construction/clear() — deterministic.
   std::uint64_t appended() const noexcept {
@@ -92,16 +87,15 @@ class Journal {
   };
 
   const std::size_t capacity_;
-  std::atomic<bool> enabled_{true};
   std::atomic<std::uint64_t> next_run_{0};
   std::atomic<std::uint64_t> appended_{0};
   mutable std::mutex mu_;
   std::vector<Record> records_;  // guarded by mu_
 };
 
-// The process-wide journal the serving layer appends to by default.
-// Enabled but only materialised into a file when something (the CLI's
-// --journal flag, a bench, a test) exports it.
+// The process-wide journal the serving layer appends to by default. Only
+// materialised into a file when something (the CLI's --journal flag, a
+// bench, a test) exports it.
 Journal& default_journal();
 
 }  // namespace powerlens::obs

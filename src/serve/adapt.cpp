@@ -265,7 +265,6 @@ void AdaptController::on_epoch_boundary(const EpochContext& ctx) {
         .observe(replan_ms);
     for (std::size_t i = 0; i < plans.size(); ++i) {
       const std::size_t m = pending[i].model;
-      ctx.cache->invalidate(model_sigs_[m]);
       ctx.cache->install(model_sigs_[m],
                          std::make_shared<const core::OptimizationPlan>(
                              plans[i]));

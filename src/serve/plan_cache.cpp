@@ -50,58 +50,38 @@ obs::Histogram& plan_compute_histogram() {
 
 }  // namespace
 
-PlanCache::PlanCache(std::size_t num_shards, std::size_t capacity)
-    : shards_(num_shards), capacity_(capacity) {
-  if (num_shards == 0) {
-    throw std::invalid_argument("PlanCache: num_shards must be positive");
-  }
-  if (capacity_ > 0) {
-    // Floor-split with the remainder on the lowest shard indices: the
-    // slices sum to exactly capacity_, so the global bound holds whatever
-    // the signature distribution (a ceil split let `--plan-cache-capacity
-    // 9` with 8 shards retain up to 16 plans). Slices can be zero when
-    // capacity < num_shards; those shards cache nothing.
-    shard_caps_.resize(num_shards, capacity_ / num_shards);
-    for (std::size_t i = 0; i < capacity_ % num_shards; ++i) ++shard_caps_[i];
-  }
-}
+PlanCache::PlanCache(std::size_t capacity) : capacity_(capacity) {}
 
-bool PlanCache::insert_resident(Shard& shard, std::uint64_t sig,
-                                const PlanPtr& plan) {
-  const std::size_t cap = shard_cap(shard);
-  if (capacity_ > 0 && cap == 0) return false;  // zero-slice shard
-  if (cap > 0 && shard.plans.size() >= cap) {
-    const std::uint64_t victim = shard.lru.back();
-    shard.lru.pop_back();
-    shard.plans.erase(victim);
+void PlanCache::insert_resident(std::uint64_t sig, const PlanPtr& plan) {
+  if (capacity_ > 0 && plans_.size() >= capacity_) {
+    plans_.erase(lru_.back());
+    lru_.pop_back();
     evictions_.fetch_add(1, std::memory_order_relaxed);
     eviction_counter().inc();
   }
-  shard.lru.push_front(sig);
-  shard.plans.emplace(sig, Entry{plan, shard.lru.begin()});
-  return true;
+  lru_.push_front(sig);
+  plans_.emplace(sig, Entry{plan, lru_.begin()});
 }
 
 PlanCache::PlanPtr PlanCache::get_or_compute(std::uint64_t sig,
                                              const dnn::Graph& graph,
                                              const PlanFactory& factory) {
-  Shard& shard = shard_for(sig);
-  std::unique_lock<std::mutex> lock(shard.mu);
-  const auto it = shard.plans.find(sig);
-  if (it != shard.plans.end()) {
-    // Refresh recency: splice the key to the MRU end of the shard list.
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
+  std::unique_lock<std::mutex> lock(mu_);
+  const auto it = plans_.find(sig);
+  if (it != plans_.end()) {
+    // Refresh recency: splice the key to the MRU end of the list.
+    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
     hits_.fetch_add(1, std::memory_order_relaxed);
     hit_counter().inc();
     return it->second.plan;
   }
 
-  const auto in_it = shard.inflight.find(sig);
-  if (in_it != shard.inflight.end()) {
+  const auto in_it = inflight_.find(sig);
+  if (in_it != inflight_.end()) {
     // Another thread is computing this signature: wait for its result. The
     // request is served without a fresh computation, so it counts as a hit.
     const std::shared_ptr<InFlight> entry = in_it->second;
-    shard.cv.wait(lock, [&] { return entry->ready; });
+    cv_.wait(lock, [&] { return entry->ready; });
     if (entry->error != nullptr) std::rethrow_exception(entry->error);
     hits_.fetch_add(1, std::memory_order_relaxed);
     hit_counter().inc();
@@ -113,7 +93,7 @@ PlanCache::PlanPtr PlanCache::get_or_compute(std::uint64_t sig,
   // under another model's key.
   assert(sig == graph_signature(graph));
   const auto entry = std::make_shared<InFlight>();
-  shard.inflight.emplace(sig, entry);
+  inflight_.emplace(sig, entry);
   lock.unlock();
 
   PlanPtr plan;
@@ -136,7 +116,7 @@ PlanCache::PlanPtr PlanCache::get_or_compute(std::uint64_t sig,
   lock.lock();
   if (error == nullptr) {
     entry->plan = plan;
-    insert_resident(shard, sig, plan);
+    insert_resident(sig, plan);
     misses_.fetch_add(1, std::memory_order_relaxed);
     miss_counter().inc();
     plan_compute_histogram().observe(elapsed_ms);
@@ -144,9 +124,9 @@ PlanCache::PlanPtr PlanCache::get_or_compute(std::uint64_t sig,
     entry->error = error;
   }
   entry->ready = true;
-  shard.inflight.erase(sig);
+  inflight_.erase(sig);
   lock.unlock();
-  shard.cv.notify_all();
+  cv_.notify_all();
   if (error != nullptr) std::rethrow_exception(error);
   return plan;
 }
@@ -160,23 +140,21 @@ bool PlanCache::preload(std::uint64_t signature, PlanPtr plan) {
   if (plan == nullptr) {
     throw std::invalid_argument("PlanCache: preload with null plan");
   }
-  Shard& shard = shard_for(signature);
-  const std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.plans.contains(signature) || shard.inflight.contains(signature)) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (plans_.contains(signature) || inflight_.contains(signature)) {
     return false;  // first wins: never clobber a resident or in-flight plan
   }
-  if (!insert_resident(shard, signature, plan)) return false;
+  insert_resident(signature, plan);
   preloaded_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
 bool PlanCache::invalidate(std::uint64_t signature) {
-  Shard& shard = shard_for(signature);
-  const std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.plans.find(signature);
-  if (it == shard.plans.end()) return false;
-  shard.lru.erase(it->second.lru_pos);
-  shard.plans.erase(it);
+  const std::lock_guard<std::mutex> lock(mu_);
+  const auto it = plans_.find(signature);
+  if (it == plans_.end()) return false;
+  lru_.erase(it->second.lru_pos);
+  plans_.erase(it);
   return true;
 }
 
@@ -184,31 +162,30 @@ bool PlanCache::install(std::uint64_t signature, PlanPtr plan) {
   if (plan == nullptr) {
     throw std::invalid_argument("PlanCache: install with null plan");
   }
-  Shard& shard = shard_for(signature);
-  const std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.inflight.contains(signature)) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (inflight_.contains(signature)) {
     // A miss is computing this signature; replacing it mid-flight would
     // race the waiters' published result. The adaptation layer runs between
     // epochs (nothing in flight), so refusing is both safe and moot.
     return false;
   }
-  const auto it = shard.plans.find(signature);
-  if (it != shard.plans.end()) {
+  const auto it = plans_.find(signature);
+  if (it != plans_.end()) {
     it->second.plan = std::move(plan);
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
+    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
     return true;
   }
-  return insert_resident(shard, signature, plan);
+  insert_resident(signature, plan);
+  return true;
 }
 
 std::vector<std::pair<std::uint64_t, PlanCache::PlanPtr>> PlanCache::snapshot()
     const {
   std::vector<std::pair<std::uint64_t, PlanPtr>> out;
-  for (const Shard& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [sig, entry] : shard.plans) {
-      out.emplace_back(sig, entry.plan);
-    }
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    out.reserve(plans_.size());
+    for (const auto& [sig, entry] : plans_) out.emplace_back(sig, entry.plan);
   }
   std::sort(out.begin(), out.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -216,10 +193,9 @@ std::vector<std::pair<std::uint64_t, PlanCache::PlanPtr>> PlanCache::snapshot()
 }
 
 PlanCache::PlanPtr PlanCache::lookup(std::uint64_t sig) const {
-  Shard& shard = shard_for(sig);
-  const std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.plans.find(sig);
-  if (it == shard.plans.end()) return nullptr;
+  const std::lock_guard<std::mutex> lock(mu_);
+  const auto it = plans_.find(sig);
+  if (it == plans_.end()) return nullptr;
   // Probe-path counting only: the serving-path hit counter and the LRU
   // order are untouched, so probing the cache never inflates the hit-rate
   // story or keeps a plan alive that the serving path has abandoned.
@@ -228,20 +204,14 @@ PlanCache::PlanPtr PlanCache::lookup(std::uint64_t sig) const {
 }
 
 std::size_t PlanCache::size() const {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.plans.size();
-  }
-  return total;
+  const std::lock_guard<std::mutex> lock(mu_);
+  return plans_.size();
 }
 
 void PlanCache::clear() {
-  for (Shard& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mu);
-    shard.plans.clear();
-    shard.lru.clear();
-  }
+  const std::lock_guard<std::mutex> lock(mu_);
+  plans_.clear();
+  lru_.clear();
 }
 
 }  // namespace powerlens::serve

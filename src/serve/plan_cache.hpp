@@ -1,4 +1,4 @@
-// Sharded, optionally bounded memoization of PowerLens::optimize results.
+// Optionally bounded memoization of PowerLens::optimize results.
 //
 // The offline-instrumentation story of the paper becomes a serving-layer
 // cache: the first request for a model pays the optimize() cost, every
@@ -10,20 +10,21 @@
 // The API is keyed by the signature itself: get_or_compute(sig, graph,
 // factory) and lookup(sig). A caller that serves a fixed model set (the
 // Server, the adaptation controller) hashes each graph once and passes the
-// stored signature, so a warm hit costs one map probe under the shard lock
+// stored signature, so a warm hit costs one map probe under the cache lock
 // and never walks the graph. The graph rides along only for the factory on
 // a miss; debug builds assert that it hashes to `sig` there. One graph-keyed
 // adapter remains, get_or_compute(graph, factory), which hashes and
 // forwards — for callers that hold a graph and no signature.
 //
-// Miss protocol — one plan per miss, never computed under the shard lock:
+// One mutex guards one signature map, one LRU list and one in-flight map.
+//
+// Miss protocol — one plan per miss, never computed under the lock:
 //   * A miss registers an in-flight entry for its signature, RELEASES the
-//     shard lock, calls the factory on its own graph, then relocks to
-//     publish the plan and notify the shard's waiters. Misses on distinct
-//     signatures therefore compute concurrently even when they share a
-//     shard.
+//     lock, calls the factory on its own graph, then relocks to publish the
+//     plan and notify the waiters. Misses on distinct signatures therefore
+//     compute concurrently.
 //   * A request for a signature that is already in flight waits on the
-//     shard's condition variable and receives the published plan — it
+//     cache's condition variable and receives the published plan — it
 //     never recomputes and never holds the lock while anyone computes.
 //   * Hits only ever take the lock for the map probe + LRU splice, so a
 //     hot key stays fast no matter what cold keys are being computed.
@@ -39,15 +40,12 @@
 // own probe_hits counter; it sees only completed plans and touches neither
 // the serving-path counters nor LRU recency.
 //
-// A positive `capacity` bounds the number of resident plans with
-// least-recently-used eviction. The budget is floor-split across shards
-// with the remainder distributed to the lowest shard indices, so the
-// per-shard slices sum to exactly `capacity` and resident() <= capacity
-// always holds. A shard whose slice is zero caches nothing: its signatures
-// compute through the miss protocol but are never retained. An evicted
-// signature recomputes on next use, so under concurrency the counters
-// become access-order dependent — plans themselves stay byte-identical
-// either way.
+// A positive `capacity` bounds the number of resident plans with exact
+// least-recently-used eviction over the whole cache, so resident() <=
+// capacity always holds and a working set that fits is never evicted. An
+// evicted signature recomputes on next use, so under concurrency the
+// counters become access-order dependent — plans themselves stay
+// byte-identical either way.
 //
 // Observability: every computed plan observes its own factory wall time in
 // the powerlens_serve_plan_compute_ms histogram, so cold-cache plan cost is
@@ -65,6 +63,7 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace powerlens::serve {
@@ -75,16 +74,14 @@ class PlanCache {
   using PlanFactory =
       std::function<core::OptimizationPlan(const dnn::Graph&)>;
 
-  // `capacity` = maximum resident plans (0 = unbounded), floor-split
-  // across shards (remainder to the lowest indices) and enforced per shard;
-  // the slices sum to exactly `capacity`.
-  explicit PlanCache(std::size_t num_shards = 8, std::size_t capacity = 0);
+  // `capacity` = maximum resident plans (0 = unbounded).
+  explicit PlanCache(std::size_t capacity = 0);
 
   // The plan cached under `signature`, computing it as factory(graph) on
   // first use and refreshing LRU recency on reuse. `signature` must be
   // graph_signature(graph) (asserted on a miss in debug builds).
   // Thread-safe; each distinct signature is computed exactly once while it
-  // stays resident, and computation never holds the shard lock.
+  // stays resident, and computation never holds the cache lock.
   PlanPtr get_or_compute(std::uint64_t signature, const dnn::Graph& graph,
                          const PlanFactory& factory);
 
@@ -125,8 +122,7 @@ class PlanCache {
   // Replaces (or installs) the resident plan for `signature` with a re-plan
   // and refreshes its LRU recency. Counts toward capacity like any other
   // resident plan; touches neither the hit/miss nor the preload counters.
-  // Returns false — installing nothing — while the signature is in flight
-  // or when the shard's capacity slice is zero.
+  // Returns false — installing nothing — while the signature is in flight.
   bool install(std::uint64_t signature, PlanPtr plan);
 
   // Serving-path counters (get_or_compute).
@@ -163,31 +159,17 @@ class PlanCache {
     std::exception_ptr error;
     bool ready = false;
   };
-  struct Shard {
-    mutable std::mutex mu;
-    std::condition_variable cv;
-    std::unordered_map<std::uint64_t, Entry> plans;
-    std::list<std::uint64_t> lru;  // most-recently-used at the front
-    // Signatures whose first computation is running.
-    std::unordered_map<std::uint64_t, std::shared_ptr<InFlight>> inflight;
-  };
-  Shard& shard_for(std::uint64_t signature) const noexcept {
-    return shards_[signature % shards_.size()];
-  }
-  // Inserts under the shard's capacity slice (evicting LRU if full).
-  // Returns false without inserting when the slice is zero.
-  bool insert_resident(Shard& shard, std::uint64_t sig, const PlanPtr& plan);
-  std::size_t shard_cap(const Shard& shard) const noexcept {
-    return shard_caps_.empty()
-               ? 0
-               : shard_caps_[static_cast<std::size_t>(&shard - shards_.data())];
-  }
+  // Inserts under the capacity bound, evicting the LRU plan if full.
+  // Caller holds mu_.
+  void insert_resident(std::uint64_t sig, const PlanPtr& plan);
 
-  mutable std::vector<Shard> shards_;
-  std::size_t capacity_ = 0;  // total bound (0 = unbounded)
-  // Per-shard slices of the bound, summing to exactly capacity_; empty when
-  // unbounded.
-  std::vector<std::size_t> shard_caps_;
+  const std::size_t capacity_;  // 0 = unbounded
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  std::unordered_map<std::uint64_t, Entry> plans_;  // guarded by mu_
+  std::list<std::uint64_t> lru_;  // most-recently-used at the front
+  // Signatures whose first computation is running.
+  std::unordered_map<std::uint64_t, std::shared_ptr<InFlight>> inflight_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   mutable std::atomic<std::uint64_t> probe_hits_{0};

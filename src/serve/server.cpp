@@ -79,7 +79,7 @@ Server::Server(const hw::Platform& platform,
       models_(std::move(models)),
       config_(config),
       framework_(framework),
-      cache_(/*num_shards=*/8, config_.plan_cache_capacity) {
+      cache_(config_.plan_cache_capacity) {
   if (models_.empty()) {
     throw std::invalid_argument("Server: no deployed models");
   }
@@ -139,9 +139,8 @@ Server::~Server() = default;
 
 obs::Journal* Server::active_journal() const {
   if (!config_.journal_enabled) return nullptr;
-  obs::Journal& journal =
-      config_.journal != nullptr ? *config_.journal : obs::default_journal();
-  return journal.enabled() ? &journal : nullptr;
+  return config_.journal != nullptr ? config_.journal
+                                    : &obs::default_journal();
 }
 
 obs::Residuals* Server::active_residuals() const {

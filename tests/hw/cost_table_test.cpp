@@ -113,8 +113,7 @@ TEST_F(CostTableTest, CopyOfOwningTableReboundsSpans) {
   const CostTable original(platform_, graph_.layers());
   const CostTable copy(original);
   EXPECT_EQ(copy, original);
-  // The copy owns its own storage: its query spans must point into the
-  // copied vectors, not the source's.
+  // The copy owns its own storage, not the source's.
   EXPECT_NE(copy.raw().time_prefix.data(), original.raw().time_prefix.data());
   EXPECT_NE(copy.raw().energy_prefix.data(),
             original.raw().energy_prefix.data());
@@ -133,56 +132,6 @@ TEST_F(CostTableTest, CopyOutlivesOwningSource) {
   const BlockCost got = copy.block_cost(0, copy.num_layers(), g, c);
   EXPECT_EQ(got.time_s, expected.time_s);
   EXPECT_EQ(got.energy_j, expected.energy_j);
-}
-
-TEST_F(CostTableTest, CopyOfViewTableSharesExternalMemory) {
-  const CostTable owning(platform_, graph_.layers());
-  const CostTable::Raw parts = owning.raw();
-  // External backing (stands in for the mmap'd interchange pages).
-  const std::vector<double> time_ext(parts.time_prefix.begin(),
-                                     parts.time_prefix.end());
-  const std::vector<double> energy_ext(parts.energy_prefix.begin(),
-                                       parts.energy_prefix.end());
-  const CostTable view = CostTable::from_view(
-      parts.num_layers, parts.gpu_levels,
-      std::vector<std::size_t>(parts.cpu_slot.begin(), parts.cpu_slot.end()),
-      parts.cpu_slots, time_ext, energy_ext);
-  ASSERT_EQ(view, owning);
-
-  const CostTable copy(view);
-  EXPECT_EQ(copy, owning);
-  // A view-backed copy stays a view over the same external memory.
-  EXPECT_EQ(copy.raw().time_prefix.data(), time_ext.data());
-  EXPECT_EQ(copy.raw().energy_prefix.data(), energy_ext.data());
-}
-
-TEST_F(CostTableTest, AssignmentCrossesStorageModes) {
-  const CostTable owning(platform_, graph_.layers());
-  const CostTable::Raw parts = owning.raw();
-  const std::vector<double> time_ext(parts.time_prefix.begin(),
-                                     parts.time_prefix.end());
-  const std::vector<double> energy_ext(parts.energy_prefix.begin(),
-                                       parts.energy_prefix.end());
-  const CostTable view = CostTable::from_view(
-      parts.num_layers, parts.gpu_levels,
-      std::vector<std::size_t>(parts.cpu_slot.begin(), parts.cpu_slot.end()),
-      parts.cpu_slots, time_ext, energy_ext);
-
-  // owning -> view-backed destination: must drop the external aliases and
-  // rebind to freshly copied vectors.
-  CostTable t = view;
-  t = owning;
-  EXPECT_EQ(t, owning);
-  EXPECT_NE(t.raw().time_prefix.data(), owning.raw().time_prefix.data());
-  EXPECT_NE(t.raw().time_prefix.data(), time_ext.data());
-
-  // view -> owning destination: must release owned storage and share the
-  // external memory.
-  CostTable u = owning;
-  u = view;
-  EXPECT_EQ(u, owning);
-  EXPECT_EQ(u.raw().time_prefix.data(), time_ext.data());
-  EXPECT_EQ(u.raw().energy_prefix.data(), energy_ext.data());
 }
 
 TEST_F(CostTableTest, SelfAssignmentIsANoOp) {

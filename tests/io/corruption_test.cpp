@@ -18,10 +18,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <vector>
 
@@ -139,6 +141,53 @@ TEST(CorruptionGauntletTest, CostTableRecordSurvivesEverySingleByteFlip) {
       encode_cost_table(table),
       [](const std::vector<std::byte>& b) { return decode_cost_table(b); },
       table);
+}
+
+// Checksum-valid cost-table records with forged dimensions fail typed
+// before anything the dimensions promise is allocated: a consistent
+// product near 2^40 doubles, products that overflow size_t, and a
+// num_layers whose run length (num_layers + 1) wraps to zero.
+TEST(CorruptionGauntletTest, ForgedCostTableDimsFailBeforeAllocating) {
+  struct Forged {
+    std::uint64_t num_layers, gpu_levels, cpu_slots, array_len;
+    const char* what;
+  };
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const Forged cases[] = {
+      {(std::uint64_t{1} << 30) - 1, 1024, 1, std::uint64_t{1} << 40,
+       "consistent product near 2^40"},
+      {std::uint64_t{1} << 62, 16, 1, 0, "overflowing product"},
+      {std::uint64_t{1} << 62, 16, 1, kMax, "overflowing product, huge len"},
+      {kMax, 1, 1, 0, "run length wraps to zero"},
+  };
+  for (const Forged& f : cases) {
+    Writer w;
+    w.u64(f.num_layers);
+    w.u64(f.gpu_levels);
+    w.u64(1);  // cpu ladder of one level, mapped to slot 0
+    w.u64(0);
+    w.u64(f.cpu_slots);
+    w.u64(f.array_len);
+    w.pad_to(kPageAlign, kHeaderSize);
+    // Exactly the promised arrays when they are small, so the dimension
+    // checks (not the framing) have to reject the record.
+    for (std::uint64_t i = 0; i < 2 * std::min<std::uint64_t>(f.array_len, 4);
+         ++i) {
+      w.f64(1.0);
+    }
+    const std::vector<std::byte> record =
+        frame_record(RecordType::kCostTable, w.take());
+    g_largest_allocation = 0;
+    try {
+      decode_cost_table(record);
+      ADD_FAILURE() << f.what << ": forged dimensions accepted";
+    } catch (const Error&) {
+      // Typed rejection, whichever check fired first.
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << f.what << ": foreign exception escaped: " << e.what();
+    }
+    EXPECT_LT(g_largest_allocation.load(), std::size_t{1} << 20) << f.what;
+  }
 }
 
 // A small model-bundle payload: hand-shaped predictors (2 structural and 1

@@ -77,8 +77,8 @@ TEST(InterchangeGoldenTest, ReadersDecodeCommittedBytesToFixtures) {
 }
 
 TEST(InterchangeGoldenTest, CommittedCostTableArraysArePageAligned) {
-  // The zero-copy contract: the doubles start at a kPageAlign boundary
-  // relative to file offset 0, so an mmap'd load can point straight in.
+  // Format version 1 starts the doubles at a kPageAlign boundary relative
+  // to file offset 0; no reader relies on it, but the bytes must not move.
   const std::vector<std::byte> bytes = committed("cost_table.plbin");
   ASSERT_GT(bytes.size(), kPageAlign);
   const RecordInfo info = inspect_record(bytes);

@@ -1,6 +1,6 @@
 // Binary interchange round-trip properties: load(save(x)) is field-exact
 // for every record type, over the whole model zoo, 200 random generator
-// graphs, plans, plan snapshots, and cost tables in both storage modes —
+// graphs, plans, plan snapshots, and cost tables through bytes and files —
 // and a plan computed from a reloaded graph is bitwise identical to one
 // computed from the original.
 #include "io/interchange.hpp"
@@ -15,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -127,23 +126,14 @@ TEST(InterchangeCostTableTest, RealPlatformTableRoundTripsBothLoadModes) {
   const std::string path = temp_path("costs.plbin");
   save_cost_table(path, table);
 
-  const LoadedCostTable heap = load_cost_table(path, /*allow_mmap=*/false);
-  EXPECT_FALSE(heap.mmapped);
-  EXPECT_EQ(heap.table, table);
-
-  const LoadedCostTable mapped = load_cost_table(path, /*allow_mmap=*/true);
-  EXPECT_EQ(mapped.table, table);
-#if defined(__unix__) || defined(__APPLE__)
-  // Little-endian unix hosts take the zero-copy path; the arrays are
-  // page-aligned by construction.
-  if constexpr (std::endian::native == std::endian::little) {
-    EXPECT_TRUE(mapped.mmapped);
-  }
-#endif
-  // Queries agree between modes on a mid-graph block (one subtraction off
-  // the prefix arrays in both).
+  // The file loader and a decode of the same bytes give the same table.
+  const hw::CostTable loaded = load_cost_table(path);
+  EXPECT_EQ(loaded, table);
+  EXPECT_EQ(decode_cost_table(read_file(path)), table);
+  // Queries agree on a mid-graph block (one subtraction off the prefix
+  // arrays in both).
   const auto a = table.block_cost(3, 9, 4, platform.max_cpu_level());
-  const auto b = mapped.table.block_cost(3, 9, 4, platform.max_cpu_level());
+  const auto b = loaded.block_cost(3, 9, 4, platform.max_cpu_level());
   EXPECT_EQ(a.time_s, b.time_s);
   EXPECT_EQ(a.energy_j, b.energy_j);
   std::remove(path.c_str());

@@ -113,8 +113,7 @@ TEST(PlanCacheTest, ClearResetsPlansButKeepsCounters) {
 }
 
 TEST(PlanCacheTest, BoundedCacheEvictsLeastRecentlyUsed) {
-  // One shard makes the capacity bound and LRU order exact.
-  PlanCache cache(/*num_shards=*/1, /*capacity=*/2);
+  PlanCache cache(/*capacity=*/2);
   EXPECT_EQ(cache.capacity(), 2u);
   const dnn::Graph a = dnn::make_alexnet(2);
   const dnn::Graph b = dnn::make_alexnet(4);
@@ -144,7 +143,7 @@ TEST(PlanCacheTest, BoundedCacheEvictsLeastRecentlyUsed) {
 }
 
 TEST(PlanCacheTest, ProbeDoesNotRefreshRecency) {
-  PlanCache cache(/*num_shards=*/1, /*capacity=*/2);
+  PlanCache cache(/*capacity=*/2);
   const dnn::Graph a = dnn::make_alexnet(2);
   const dnn::Graph b = dnn::make_alexnet(4);
   const dnn::Graph c = dnn::make_alexnet(8);
@@ -162,7 +161,7 @@ TEST(PlanCacheTest, ProbeDoesNotRefreshRecency) {
 }
 
 TEST(PlanCacheTest, ZeroCapacityMeansUnbounded) {
-  PlanCache cache(/*num_shards=*/1, /*capacity=*/0);
+  PlanCache cache(/*capacity=*/0);
   const PlanCache::PlanFactory factory = [](const dnn::Graph&) {
     return core::OptimizationPlan{};
   };
@@ -173,84 +172,49 @@ TEST(PlanCacheTest, ZeroCapacityMeansUnbounded) {
   EXPECT_EQ(cache.evictions(), 0u);
 }
 
-// Regression: the capacity budget was ceil-split across shards, so
-// `PlanCache(8, 9)` gave every shard a slice of 2 and a spread signature
-// distribution could retain 16 plans against a configured bound of 9. The
-// floor split (remainder to the lowest shard indices) must hold
-// resident() <= capacity() for EVERY signature distribution.
+// Regression: the capacity budget used to be split across signature
+// shards, first rounded up (`--plan-cache-capacity 9` over 8 shards retained
+// up to 16 plans) and then down (a shard with a zero slice cached nothing).
+// resident() <= capacity() must hold for EVERY signature distribution.
 TEST(PlanCacheTest, CapacityBoundHoldsAcrossAdversarialDistributions) {
   struct Case {
-    std::size_t shards;
     std::size_t capacity;
-    std::uint64_t stride;  // signature spacing controls shard targeting
+    std::uint64_t stride;  // signature spacing
     const char* what;
   };
   const Case cases[] = {
-      // One signature per shard round-robin — the ceil-split worst case.
-      {8, 9, 1, "spread across all shards"},
-      // Every signature lands on shard 0 (sig % 8 == 0).
-      {8, 9, 8, "concentrated on one shard"},
-      // Two hot shards (even strides hit shards 0 and 2 alternately... use
-      // stride 4 so sigs hit shards {0, 4}).
-      {8, 9, 4, "concentrated on two shards"},
-      {8, 3, 1, "capacity below shard count, spread"},
-      {8, 3, 8, "capacity below shard count, one shard"},
-      {3, 7, 1, "remainder split, spread"},
-      {1, 5, 1, "single shard"},
+      {9, 1, "consecutive signatures"},
+      {9, 8, "signatures congruent mod 8"},
+      {3, 4, "capacity below the old shard count"},
+      {7, 1, "odd capacity"},
+      {1, 5, "single slot"},
   };
   for (const Case& c : cases) {
-    PlanCache cache(c.shards, c.capacity);
+    PlanCache cache(c.capacity);
     const auto plan = std::make_shared<const core::OptimizationPlan>();
     for (std::uint64_t k = 1; k <= 64; ++k) {
       cache.preload(k * c.stride, plan);
       ASSERT_LE(cache.resident(), cache.capacity())
           << c.what << " after " << k << " inserts";
     }
-    EXPECT_LE(cache.resident(), c.capacity) << c.what;
+    EXPECT_EQ(cache.resident(), c.capacity) << c.what;
   }
 }
 
 TEST(PlanCacheTest, SpreadDistributionFillsTheWholeBudget) {
-  // The bound must be exact, not just safe: with signatures touching every
-  // shard, a capacity-9 cache should actually hold 9 plans (floor slices
-  // 2,1,1,1,1,1,1,1 across 8 shards — two on shard 0 via the remainder).
-  PlanCache cache(/*num_shards=*/8, /*capacity=*/9);
+  // The bound must be exact, not just safe: a capacity-9 cache holds 9
+  // plans whatever their signatures — including ones the old 8-way shard
+  // split would have sent to one slice.
+  PlanCache cache(/*capacity=*/9);
   const auto plan = std::make_shared<const core::OptimizationPlan>();
-  // sigs 1..8 land one per shard (sig % 8); sig 16 takes shard 0's second
-  // remainder slot.
-  for (std::uint64_t sig = 1; sig <= 8; ++sig) cache.preload(sig, plan);
-  cache.preload(16, plan);
+  for (std::uint64_t sig = 1; sig <= 8; ++sig) cache.preload(sig * 8, plan);
+  cache.preload(16 * 8, plan);
   EXPECT_EQ(cache.resident(), 9u);
   EXPECT_EQ(cache.capacity(), 9u);
 }
 
-TEST(PlanCacheTest, ZeroSliceShardsCacheNothingButStillServe) {
-  // capacity < num_shards leaves some shards with a zero slice; their
-  // signatures must compute through the miss path without being retained,
-  // and preload must report the non-install.
-  PlanCache cache(/*num_shards=*/8, /*capacity=*/2);
-  const auto plan = std::make_shared<const core::OptimizationPlan>();
-  EXPECT_TRUE(cache.preload(0, plan));    // shard 0: slice 1
-  EXPECT_TRUE(cache.preload(1, plan));    // shard 1: slice 1
-  EXPECT_FALSE(cache.preload(7, plan));   // shard 7: zero slice
-  EXPECT_EQ(cache.resident(), 2u);
-
-  std::atomic<int> calls{0};
-  const PlanCache::PlanFactory factory = [&](const dnn::Graph&) {
-    ++calls;
-    return core::OptimizationPlan{};
-  };
-  const dnn::Graph g = dnn::make_alexnet(4);
-  EXPECT_NE(cache.get_or_compute(g, factory), nullptr);
-  EXPECT_NE(cache.get_or_compute(g, factory), nullptr);
-  EXPECT_LE(cache.resident(), 2u);
-  // Whether g's shard retains it depends on its signature; either way the
-  // global bound held and both calls produced a plan.
-  EXPECT_GE(calls.load(), 1);
-}
-
 TEST(PlanCacheTest, InvalidateDropsOnlyTheTargetSignature) {
-  PlanCache cache(/*num_shards=*/1);
+  PlanCache cache;
   const dnn::Graph a = dnn::make_alexnet(2);
   const dnn::Graph b = dnn::make_alexnet(4);
   const PlanCache::PlanFactory factory = [](const dnn::Graph&) {
@@ -275,7 +239,7 @@ TEST(PlanCacheTest, InvalidateDropsOnlyTheTargetSignature) {
 }
 
 TEST(PlanCacheTest, InstallReplacesResidentPlanInPlace) {
-  PlanCache cache(/*num_shards=*/1, /*capacity=*/2);
+  PlanCache cache(/*capacity=*/2);
   const dnn::Graph g = dnn::make_alexnet(4);
   cache.get_or_compute(g, [](const dnn::Graph&) {
     core::OptimizationPlan plan;
@@ -299,7 +263,7 @@ TEST(PlanCacheTest, InstallReplacesResidentPlanInPlace) {
 }
 
 TEST(PlanCacheTest, EachSignatureComputedExactlyOnceUnderConcurrency) {
-  PlanCache cache(4);
+  PlanCache cache;
   std::vector<dnn::Graph> graphs;
   graphs.push_back(dnn::make_alexnet(2));
   graphs.push_back(dnn::make_alexnet(4));
@@ -390,11 +354,11 @@ class Gate {
   bool open_ = false;
 };
 
-// A hit must complete while a miss compute on the same shard is still
-// running: misses never compute under the shard lock, so a hot key's hits
-// never queue behind a cold key's optimize().
+// A hit must complete while a miss compute is still running: misses never
+// compute under the cache lock, so a hot key's hits never queue behind a
+// cold key's optimize().
 TEST(PlanCacheTest, HitsDoNotBlockBehindAnInFlightMissCompute) {
-  PlanCache cache(/*num_shards=*/1);  // hot and cold keys share the shard
+  PlanCache cache;
   const dnn::Graph hot = dnn::make_alexnet(2);
   const dnn::Graph cold = dnn::make_alexnet(4);
   cache.get_or_compute(hot, [](const dnn::Graph&) {
@@ -411,8 +375,8 @@ TEST(PlanCacheTest, HitsDoNotBlockBehindAnInFlightMissCompute) {
     });
   });
   entered.wait();
-  // The cold compute is in flight and parked inside its factory. A hit on
-  // the same shard must be served right now, not after release.
+  // The cold compute is in flight and parked inside its factory. A hit
+  // must be served right now, not after release.
   EXPECT_NE(cache.get_or_compute(hot, [](const dnn::Graph&) {
     return core::OptimizationPlan{};
   }),
@@ -424,12 +388,12 @@ TEST(PlanCacheTest, HitsDoNotBlockBehindAnInFlightMissCompute) {
   EXPECT_EQ(cache.hits(), 1u);
 }
 
-// Two misses on distinct signatures that share a shard compute at the same
-// time: each factory waits until both threads are inside their factories,
-// which only completes if neither miss holds the shard (or waits behind the
+// Two misses on distinct signatures compute at the same time: each factory
+// waits until both threads are inside their factories, which only
+// completes if neither miss holds the cache lock (or waits behind the
 // other). A timeout turns a serialized protocol into a failure, not a hang.
 TEST(PlanCacheTest, DistinctMissesOnOneShardComputeConcurrently) {
-  PlanCache cache(/*num_shards=*/1);
+  PlanCache cache;
   const dnn::Graph a = dnn::make_alexnet(2);
   const dnn::Graph b = dnn::make_alexnet(4);
 
@@ -462,7 +426,7 @@ TEST(PlanCacheTest, DistinctMissesOnOneShardComputeConcurrently) {
 // A factory error reaches the computing thread and every thread waiting on
 // the same signature, and nothing is cached.
 TEST(PlanCacheTest, FactoryErrorReachesEveryWaiter) {
-  PlanCache cache(/*num_shards=*/1);
+  PlanCache cache;
   const dnn::Graph g = dnn::make_alexnet(4);
   Gate entered;
   Gate release;
@@ -496,7 +460,7 @@ TEST(PlanCacheTest, FactoryErrorReachesEveryWaiter) {
 }
 
 TEST(PlanCacheTest, FactoryExceptionPropagatesAndCachesNothing) {
-  PlanCache cache(/*num_shards=*/1);
+  PlanCache cache;
   const dnn::Graph g = dnn::make_alexnet(4);
   EXPECT_THROW(cache.get_or_compute(g, [](const dnn::Graph&)
                                            -> core::OptimizationPlan {
@@ -570,7 +534,7 @@ TEST(PlanCacheTest, SignatureHitReturnsSamePlanAsGraphAdapter) {
 }
 
 TEST(PlanCacheTest, EachSignatureComputedOnceUnderConcurrencyOnSignatureApi) {
-  PlanCache cache(/*num_shards=*/2);
+  PlanCache cache;
   std::vector<dnn::Graph> graphs;
   for (const std::int64_t batch : {1, 2, 4, 8, 16}) {
     graphs.push_back(dnn::make_alexnet(batch));

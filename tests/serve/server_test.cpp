@@ -367,6 +367,33 @@ TEST_F(ServerTest, CacheCountersAreDeterministic) {
   }
 }
 
+// Regression: the bounded plan cache split its capacity over 8 signature
+// shards, so a working set that fit the global bound still thrashed
+// whenever two models hashed to one small slice. A cache that holds every
+// deployed model must plan each exactly once.
+TEST_F(ServerTest, BoundedCacheHoldingEveryModelMissesOncePerModel) {
+  std::vector<DeployedModel> zoo;
+  for (const dnn::ModelSpec& spec : dnn::model_zoo()) {
+    zoo.push_back({std::string(spec.name), spec.build(kBatch)});
+  }
+  std::vector<Task> tasks(3 * zoo.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    tasks[i].id = i;
+    tasks[i].model_index = i % zoo.size();
+  }
+  for (const std::size_t workers : {1u, 4u}) {
+    ServerConfig cfg;
+    cfg.policy = ServePolicy::kPowerLens;
+    cfg.num_workers = workers;
+    cfg.plan_cache_capacity = zoo.size();
+    Server server(*platform_, zoo, cfg, framework_);
+    const ServeReport r = server.serve(tasks);
+    EXPECT_EQ(r.plan_cache_misses, zoo.size()) << workers;
+    EXPECT_EQ(r.plan_cache_hits, tasks.size() - zoo.size()) << workers;
+    EXPECT_EQ(server.plan_cache().evictions(), 0u) << workers;
+  }
+}
+
 TEST_F(ServerTest, MaxnNeedsNoFramework) {
   ServerConfig cfg;
   cfg.policy = ServePolicy::kMaxn;
