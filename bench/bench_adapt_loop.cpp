@@ -124,11 +124,6 @@ double window_mean_abs(const serve::ServeReport& r, std::size_t begin,
   return n > 0 ? sum / static_cast<double>(n) : 0.0;
 }
 
-bool check(bool ok, const char* what) {
-  std::printf("CHECK %-60s %s\n", what, ok ? "OK" : "FAILED");
-  return ok;
-}
-
 int run(const hw::Platform& platform, std::size_t workers) {
   std::printf("Closed-loop adaptation on %s (%d tasks, epoch %zu, 2x "
               "latency inflation, %zu workers)\n",

@@ -108,11 +108,6 @@ void print_row(const char* label, serve::ServePolicy policy,
   std::printf("JSON %s\n", json.str().c_str());
 }
 
-bool check(bool ok, const char* what) {
-  std::printf("CHECK %-60s %s\n", what, ok ? "OK" : "FAILED");
-  return ok;
-}
-
 int run(const hw::Platform& platform, std::size_t sweep_workers) {
   std::printf("Chaos serving sweep on %s (%d tasks x %d images, seed %llu, "
               "%zu workers)\n",

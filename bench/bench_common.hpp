@@ -46,6 +46,13 @@ inline TrainedFramework train_for(const hw::Platform& platform,
   return t;
 }
 
+// One acceptance check: prints a CHECK line and returns `ok`, so a bench
+// can fold its checks into a non-zero exit code.
+inline bool check(bool ok, const char* what) {
+  std::printf("CHECK %-60s %s\n", what, ok ? "OK" : "FAILED");
+  return ok;
+}
+
 // Wall-clock milliseconds of one run of `body`.
 template <typename F>
 double sample_ms(F&& body) {

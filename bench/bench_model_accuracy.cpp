@@ -5,6 +5,10 @@
 // Protocol: generated random networks, 80%/10%/10% train/val/test split.
 // The paper generated 8000 networks (31,242 blocks); pass a network count as
 // argv[1] to scale up (default 1200 keeps the bench under a minute).
+//
+// The bench exits non-zero unless the paper's decision-model claims hold on
+// both platforms (CHECK lines): test accuracy >= 90 % and a mean level
+// error of at most one level.
 #include "bench_common.hpp"
 
 #include "dnn/random_gen.hpp"
@@ -15,7 +19,7 @@
 namespace powerlens::bench {
 namespace {
 
-void run_platform(const hw::Platform& platform, std::size_t networks) {
+bool run_platform(const hw::Platform& platform, std::size_t networks) {
   std::printf("\n=== Prediction models on %s (%zu networks) ===\n",
               platform.name.c_str(), networks);
   core::PowerLensConfig cfg = bench_config(networks);
@@ -66,6 +70,12 @@ void run_platform(const hw::Platform& platform, std::size_t networks) {
       "  hyperparameter deployment regret: mean %.2f%%; %.0f%% of held-out "
       "networks within 1%% of the oracle plan\n",
       100.0 * regret_sum / kHoldout, 100.0 * within_1pct / kHoldout);
+  const std::string name = platform.name;
+  bool ok = check(s.decision_model.test_accuracy >= 0.90,
+                  (name + ": decision-model test accuracy >= 90%").c_str());
+  ok &= check(s.decision_model.test_mean_level_error <= 1.0,
+              (name + ": decision-model mean level error <= 1").c_str());
+  return ok;
 }
 
 }  // namespace
@@ -75,7 +85,8 @@ int main(int argc, char** argv) {
   const std::size_t networks =
       argc > 1 ? static_cast<std::size_t>(std::atoll(argv[1])) : 1200;
   std::printf("Prediction-model accuracy reproduction (section 2.2)\n");
-  powerlens::bench::run_platform(powerlens::hw::make_tx2(), networks);
-  powerlens::bench::run_platform(powerlens::hw::make_agx(), networks);
-  return 0;
+  using powerlens::bench::run_platform;
+  bool ok = run_platform(powerlens::hw::make_tx2(), networks);
+  ok &= run_platform(powerlens::hw::make_agx(), networks);
+  return ok ? 0 : 1;
 }

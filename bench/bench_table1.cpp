@@ -7,6 +7,11 @@
 // The paper averages 50 randomized runs per cell; the simulation is
 // deterministic at fixed seeds, so each cell is a single steady-state run of
 // kPasses forward passes.
+//
+// The bench exits non-zero unless the paper's shape holds (CHECK lines):
+// the averages order BiM > FPG-G > FPG-C+G on both platforms, AGX gains
+// exceed TX2 gains in every column, and every model gains against every
+// baseline.
 #include "bench_common.hpp"
 
 namespace powerlens::bench {
@@ -21,7 +26,12 @@ struct Row {
   double vs_bim, vs_fpg_g, vs_fpg_cg;
 };
 
-void run_platform(const hw::Platform& platform) {
+struct PlatformResult {
+  Row avg;
+  bool every_model_gains = true;
+};
+
+PlatformResult run_platform(const hw::Platform& platform) {
   std::printf("\n=== Energy efficiency improvement on %s ===\n",
               platform.name.c_str());
   TrainedFramework t = train_for(platform);
@@ -29,7 +39,8 @@ void run_platform(const hw::Platform& platform) {
 
   std::printf("%-16s %-7s %-9s %-9s %-9s\n", "model name", "Block", "BiM",
               "FPG-G", "FPG-CG");
-  Row avg{"Average", 0, 0, 0, 0};
+  PlatformResult result{{"Average", 0, 0, 0, 0}};
+  Row& avg = result.avg;
   for (const dnn::ModelSpec& spec : dnn::model_zoo()) {
     const dnn::Graph g = spec.build(kBatch);
     const core::OptimizationPlan plan = t.framework->optimize(g);
@@ -49,22 +60,43 @@ void run_platform(const hw::Platform& platform) {
     std::printf("%-16s %-7zu %-9.2f%% %-8.2f%% %-8.2f%%\n", row.model.c_str(),
                 row.blocks, 100.0 * row.vs_bim, 100.0 * row.vs_fpg_g,
                 100.0 * row.vs_fpg_cg);
+    result.every_model_gains = result.every_model_gains && row.vs_bim > 0.0 &&
+                               row.vs_fpg_g > 0.0 && row.vs_fpg_cg > 0.0;
     avg.vs_bim += row.vs_bim;
     avg.vs_fpg_g += row.vs_fpg_g;
     avg.vs_fpg_cg += row.vs_fpg_cg;
   }
   const double n = static_cast<double>(dnn::model_zoo().size());
+  avg.vs_bim /= n;
+  avg.vs_fpg_g /= n;
+  avg.vs_fpg_cg /= n;
   std::printf("%-16s %-7s %-9.2f%% %-8.2f%% %-8.2f%%\n", "Average", "-",
-              100.0 * avg.vs_bim / n, 100.0 * avg.vs_fpg_g / n,
-              100.0 * avg.vs_fpg_cg / n);
+              100.0 * avg.vs_bim, 100.0 * avg.vs_fpg_g,
+              100.0 * avg.vs_fpg_cg);
+  return result;
+}
+
+bool ordered(const Row& avg) {
+  return avg.vs_bim > avg.vs_fpg_g && avg.vs_fpg_g > avg.vs_fpg_cg;
 }
 
 }  // namespace
 }  // namespace powerlens::bench
 
 int main() {
+  using namespace powerlens::bench;
   std::printf("Table 1 reproduction: EE gains of PowerLens vs baselines\n");
-  powerlens::bench::run_platform(powerlens::hw::make_tx2());
-  powerlens::bench::run_platform(powerlens::hw::make_agx());
-  return 0;
+  const PlatformResult tx2 = run_platform(powerlens::hw::make_tx2());
+  const PlatformResult agx = run_platform(powerlens::hw::make_agx());
+  std::printf("\n");
+  bool ok =
+      check(ordered(tx2.avg), "TX2 averages order BiM > FPG-G > FPG-C+G");
+  ok &= check(ordered(agx.avg), "AGX averages order BiM > FPG-G > FPG-C+G");
+  ok &= check(agx.avg.vs_bim > tx2.avg.vs_bim &&
+                  agx.avg.vs_fpg_g > tx2.avg.vs_fpg_g &&
+                  agx.avg.vs_fpg_cg > tx2.avg.vs_fpg_cg,
+              "AGX average gain exceeds TX2 in every column");
+  ok &= check(tx2.every_model_gains && agx.every_model_gains,
+              "every model gains against every baseline on both platforms");
+  return ok ? 0 : 1;
 }

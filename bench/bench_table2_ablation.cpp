@@ -5,6 +5,11 @@
 //   P-N: no clustering — a single frequency decision for the whole DNN.
 // Frequency decisions run through the same decision model in all three
 // arms, isolating the contribution of power behavior similarity clustering.
+//
+// The bench exits non-zero unless the paper's shape holds (CHECK lines):
+// on both platforms both ablations lose or tie on average, and P-R loses at
+// least as much as P-N. A tie is a gain within kTie, half the printed
+// precision of 0.01 percentage points.
 #include "bench_common.hpp"
 
 #include "core/ablation.hpp"
@@ -15,6 +20,7 @@ namespace {
 constexpr int kPasses = 40;
 constexpr std::int64_t kBatch = 8;
 constexpr std::uint64_t kSeeds[] = {3, 7, 12, 19, 26};
+constexpr double kTie = 0.005 / 100.0;
 
 double run_plan(hw::SimEngine& engine, const dnn::Graph& g,
                 const core::OptimizationPlan& plan) {
@@ -25,7 +31,7 @@ double run_plan(hw::SimEngine& engine, const dnn::Graph& g,
   return engine.run(g, kPasses, policy).energy_efficiency();
 }
 
-void run_platform(const hw::Platform& platform) {
+bool run_platform(const hw::Platform& platform) {
   std::printf("\n=== EE loss vs PowerLens on %s ===\n",
               platform.name.c_str());
   TrainedFramework t = train_for(platform);
@@ -64,8 +70,18 @@ void run_platform(const hw::Platform& platform) {
     avg_pn += loss_pn;
   }
   const double n = static_cast<double>(dnn::model_zoo().size());
-  std::printf("%-16s %-8.2f%% %-8.2f%%\n", "Average", 100.0 * avg_pr / n,
-              100.0 * avg_pn / n);
+  avg_pr /= n;
+  avg_pn /= n;
+  std::printf("%-16s %-8.2f%% %-8.2f%%\n", "Average", 100.0 * avg_pr,
+              100.0 * avg_pn);
+  const std::string name = platform.name;
+  bool ok = check(avg_pr <= kTie,
+                  (name + ": P-R loses or ties on average").c_str());
+  ok &= check(avg_pn <= kTie,
+              (name + ": P-N loses or ties on average").c_str());
+  ok &= check(avg_pr <= avg_pn,
+              (name + ": P-R loses at least as much as P-N").c_str());
+  return ok;
 }
 
 }  // namespace
@@ -75,7 +91,7 @@ int main() {
   std::printf(
       "Table 2 reproduction: EE loss of P-R (random partitioning) and P-N "
       "(no clustering)\n");
-  powerlens::bench::run_platform(powerlens::hw::make_tx2());
-  powerlens::bench::run_platform(powerlens::hw::make_agx());
-  return 0;
+  bool ok = powerlens::bench::run_platform(powerlens::hw::make_tx2());
+  ok &= powerlens::bench::run_platform(powerlens::hw::make_agx());
+  return ok ? 0 : 1;
 }
