@@ -1,6 +1,5 @@
 #include "clustering/distance.hpp"
 
-#include "linalg/eigen.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/stats.hpp"
 

@@ -219,7 +219,7 @@ class PowerLens {
   // the corrected prediction (new schedule's analytic cost x the scale
   // factors, gap spill included), so a request served by the re-plan under
   // unchanged fault pressure scores a near-zero residual. Analytic-table
-  // math only — no MLP inference, no eigendecomposition — so results are
+  // math only — no MLP inference, no distance phase — so results are
   // identical on every kernel dispatch path and need no trained models.
   // Throws std::invalid_argument on null graph/base or bad signals.
   std::vector<OptimizationPlan> replan_batch(

@@ -18,9 +18,9 @@
 //     seconds in the attempt telemetry) cap the re-pick at the ladder top
 //     minus the fault spec's thermal_levels_off — the plan stops scheduling
 //     levels the throttled hardware will refuse anyway;
-//   * the re-planned plan replaces the cached entry (PlanCache::invalidate
-//     + install), so every subsequent request for that signature serves the
-//     corrected plan and scores a collapsed residual.
+//   * the re-planned plan replaces the cached entry (PlanCache::install),
+//     so every subsequent request for that signature serves the corrected
+//     plan and scores a collapsed residual.
 //
 // Background retraining (optional): every re-plan harvests per-block
 // training rows (global block features -> corrected-table argmin level).
@@ -34,7 +34,7 @@
 // (recorded in the fold's task order), the epoch's ServiceResult aggregates
 // (a pure function of the request stream), and the controller's own
 // deterministic state. Re-planning is analytic-table math (no MLP, no
-// eigendecomposition) and refit is nn::refit (thread-count- and
+// distance phase) and refit is nn::refit (thread-count- and
 // dispatch-path-invariant), so reports, journals, and residual exports stay
 // byte-identical at any worker count and on either kernel dispatch path.
 #pragma once

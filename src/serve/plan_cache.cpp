@@ -149,15 +149,6 @@ bool PlanCache::preload(std::uint64_t signature, PlanPtr plan) {
   return true;
 }
 
-bool PlanCache::invalidate(std::uint64_t signature) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = plans_.find(signature);
-  if (it == plans_.end()) return false;
-  lru_.erase(it->second.lru_pos);
-  plans_.erase(it);
-  return true;
-}
-
 bool PlanCache::install(std::uint64_t signature, PlanPtr plan) {
   if (plan == nullptr) {
     throw std::invalid_argument("PlanCache: install with null plan");

@@ -114,11 +114,6 @@ class PlanCache {
 
   // --- Adaptation interface (serve/adapt) ---
 
-  // Drops the resident plan for `signature` (the drift-invalidation path).
-  // Returns true when an entry was dropped. In-flight computations are
-  // untouched — the adaptation layer only runs between serving epochs, when
-  // nothing is in flight.
-  bool invalidate(std::uint64_t signature);
   // Replaces (or installs) the resident plan for `signature` with a re-plan
   // and refreshes its LRU recency. Counts toward capacity like any other
   // resident plan; touches neither the hit/miss nor the preload counters.

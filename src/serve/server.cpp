@@ -125,11 +125,16 @@ Server::Server(const hw::Platform& platform,
       throw std::invalid_argument(
           "Server: adaptation requires the plan cache");
     }
+    if (config_.plan_cache_capacity > 0) {
+      // An evicted re-plan would come back as a cold plan, so which plans
+      // survive (and the served energy) would depend on the worker count.
+      throw std::invalid_argument(
+          "Server: adaptation requires an unbounded plan cache");
+    }
     AdaptConfig ac;
     ac.epoch_tasks = config_.adapt_epoch_tasks;
     ac.retrain = config_.adapt_retrain;
     ac.retrain_min_rows = config_.adapt_retrain_min_rows;
-    ac.seed = config_.adapt_seed;
     adapt_ = std::make_unique<AdaptController>(*platform_, models_,
                                                model_sigs_, *framework_, ac);
   }

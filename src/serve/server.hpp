@@ -133,9 +133,12 @@ struct ServerConfig {
   // Memoize optimization plans across requests. Off recomputes per request
   // (the cost the cache exists to remove); results are identical either way.
   bool use_plan_cache = true;
-  // Maximum resident plans before LRU eviction (0 = unbounded). Bounded
-  // caches keep results identical but make hit/miss counters access-order
-  // dependent under concurrency (see plan_cache.hpp).
+  // Maximum resident plans before LRU eviction (0 = unbounded). Without
+  // adaptation an evicted plan recomputes to the same plan, so results stay
+  // identical, but hit/miss counters become access-order dependent under
+  // concurrency (see plan_cache.hpp). Adaptation requires an unbounded
+  // cache: an evicted re-plan would come back as a cold plan, so served
+  // energy would depend on the worker count.
   std::size_t plan_cache_capacity = 0;
   // Hardware fault injection applied to every simulated request. Plan
   // policies derive one fault stream per (task, attempt) from the spec
@@ -162,20 +165,18 @@ struct ServerConfig {
   // epochs of `adapt_epoch_tasks` requests and, at every boundary, re-plan
   // drifting models from the committed residual snapshot — cost-table
   // rescaling by the observed/predicted EWMA ratio, thermal frequency caps,
-  // plan-cache invalidate + install. Requires the kPowerLens policy, a
-  // non-null framework, and residuals_enabled (the drift signal source);
-  // the Server constructor throws std::invalid_argument otherwise. Results
-  // stay invariant to the worker count and kernel dispatch path: boundary
-  // decisions derive only from the deterministic fold's residual commits
-  // and per-request aggregates.
+  // plan-cache install. Requires the kPowerLens policy, a non-null
+  // framework, residuals_enabled (the drift signal source) and an unbounded
+  // plan cache; the Server constructor throws std::invalid_argument
+  // otherwise. Results stay invariant to the worker count and kernel
+  // dispatch path: boundary decisions derive only from the deterministic
+  // fold's residual commits and per-request aggregates.
   bool adapt_enabled = false;
   std::size_t adapt_epoch_tasks = 32;
   // Background decision-model retraining on rows harvested from re-plans;
   // refitted bundles swap in atomically at epoch boundaries.
   bool adapt_retrain = false;
   std::size_t adapt_retrain_min_rows = 24;
-  // Seeds the retrain shuffle/split protocol.
-  std::uint64_t adapt_seed = 1;
 };
 
 // One simulator execution attempt of a request, as recorded host-side —

@@ -213,31 +213,6 @@ TEST(PlanCacheTest, SpreadDistributionFillsTheWholeBudget) {
   EXPECT_EQ(cache.capacity(), 9u);
 }
 
-TEST(PlanCacheTest, InvalidateDropsOnlyTheTargetSignature) {
-  PlanCache cache;
-  const dnn::Graph a = dnn::make_alexnet(2);
-  const dnn::Graph b = dnn::make_alexnet(4);
-  const PlanCache::PlanFactory factory = [](const dnn::Graph&) {
-    return core::OptimizationPlan{};
-  };
-  cache.get_or_compute(a, factory);
-  cache.get_or_compute(b, factory);
-
-  EXPECT_TRUE(cache.invalidate(graph_signature(a)));
-  EXPECT_EQ(cache.lookup(graph_signature(a)), nullptr);
-  EXPECT_NE(cache.lookup(graph_signature(b)), nullptr);  // untouched
-  EXPECT_FALSE(cache.invalidate(graph_signature(a)));  // already gone
-  EXPECT_EQ(cache.resident(), 1u);
-
-  // The invalidated signature recomputes on next use.
-  std::atomic<int> calls{0};
-  cache.get_or_compute(a, [&](const dnn::Graph&) {
-    ++calls;
-    return core::OptimizationPlan{};
-  });
-  EXPECT_EQ(calls.load(), 1);
-}
-
 TEST(PlanCacheTest, InstallReplacesResidentPlanInPlace) {
   PlanCache cache(/*capacity=*/2);
   const dnn::Graph g = dnn::make_alexnet(4);

@@ -394,6 +394,20 @@ TEST_F(ServerTest, BoundedCacheHoldingEveryModelMissesOncePerModel) {
   }
 }
 
+TEST_F(ServerTest, AdaptationRejectsABoundedPlanCache) {
+  // An evicted re-plan would come back as a cold plan, so with a bounded
+  // cache the served plans, and the energy, would depend on which plans the
+  // workers' access order evicts.
+  ServerConfig cfg;
+  cfg.policy = ServePolicy::kPowerLens;
+  cfg.adapt_enabled = true;
+  cfg.plan_cache_capacity = 5;
+  EXPECT_THROW(Server(*platform_, *models_, cfg, framework_),
+               std::invalid_argument);
+  cfg.plan_cache_capacity = 0;
+  EXPECT_NO_THROW(Server(*platform_, *models_, cfg, framework_));
+}
+
 TEST_F(ServerTest, MaxnNeedsNoFramework) {
   ServerConfig cfg;
   cfg.policy = ServePolicy::kMaxn;
@@ -493,8 +507,7 @@ TEST_F(ServerTest, ReinstalledPlanIsServedByTheNextServe) {
   const std::uint64_t sig = graph_signature((*models_)[0].graph);
   core::OptimizationPlan replanned = *server.plan_cache().lookup(sig);
   replanned.schedule.points = {{0, platform_->max_gpu_level() / 2}};
-  ASSERT_TRUE(server.plan_cache().invalidate(sig));
-  ASSERT_TRUE(server.plan_cache().preload(
+  ASSERT_TRUE(server.plan_cache().install(
       sig, std::make_shared<const core::OptimizationPlan>(replanned)));
 
   const ServeReport second = server.serve(tasks);
