@@ -496,8 +496,9 @@ std::string warm_path_record(const core::PowerLens& framework,
                              const hw::Platform& platform,
                              const dnn::Graph& graph) {
   // The warm request path on resnet152: what a plan lookup costs when the
-  // caller hashes the graph (graph_signature) against a hit keyed by the
-  // stored signature, and what the simulator costs per pass under the plan
+  // caller hashes the graph (dnn::hash_graph, what a Graph's constructor
+  // pays once) against a hit keyed by the stored signature, and what the
+  // simulator costs per pass under the plan
   // (preset GPU schedule plus the CPU ondemand governor, as the server runs
   // it) over a 20-pass run and over a 1-pass run; then what a 1-worker
   // Server charges per fault-free 5-pass request when 48 identical requests
@@ -505,8 +506,9 @@ std::string warm_path_record(const core::PowerLens& framework,
   // hash/hit, 20-pass/1-pass and serve/run ratios, which do not depend on
   // the runner's absolute speed: the simulator prices each layer once per
   // level pair, so passes after the first should cost well under the
-  // first, and a server worker simulates each repeated run once per call,
-  // so a served request should cost well under a run.
+  // first, and a server simulates each repeated run once per call, so a
+  // served request should cost well under a run. The record also carries
+  // the serve's simulator-run count, which CI asserts is exactly 1.
   const std::uint64_t sig = serve::graph_signature(graph);
   serve::PlanCache cache;
   const core::OptimizationPlan plan = framework.optimize(graph);
@@ -523,7 +525,7 @@ std::string warm_path_record(const core::PowerLens& framework,
   const auto time_hash = [&] {
     return bench::sample_ms([&] {
              for (int i = 0; i < kHashIters; ++i) {
-               benchmark::DoNotOptimize(serve::graph_signature(graph));
+               benchmark::DoNotOptimize(dnn::hash_graph(graph));
              }
            }) *
            1e3 / kHashIters;
@@ -564,6 +566,9 @@ std::string warm_path_record(const core::PowerLens& framework,
   serve::Server server(platform, {{graph.name(), graph}}, config, &framework);
   server.plan_cache().preload(
       sig, std::make_shared<const core::OptimizationPlan>(plan));
+  const std::uint64_t runs_before = server.sim_runs();
+  benchmark::DoNotOptimize(server.serve(tasks));
+  const std::uint64_t serve_sim_runs = server.sim_runs() - runs_before;
   const auto time_serve = [&] {
     return bench::sample_ms(
                [&] { benchmark::DoNotOptimize(server.serve(tasks)); }) *
@@ -599,9 +604,11 @@ std::string warm_path_record(const core::PowerLens& framework,
   std::printf(
       "warm path  signature %8.3f us  signature hit %8.3f us (paired %.1fx)  "
       "sim %8.1f us/pass (1-pass run %8.1f us, paired %.2fx)\n"
-      "           serve %8.1f us/request  run %8.1f us/run (paired %.2fx)\n",
+      "           serve %8.1f us/request  run %8.1f us/run (paired %.2fx), "
+      "%llu simulator run(s) per %d-request serve\n",
       hash_us, hit_us, hash_over_hit.median, sim_us, first_pass_us,
-      pass_over_first.median, serve_us, run_us, serve_over_run.median);
+      pass_over_first.median, serve_us, run_us, serve_over_run.median,
+      static_cast<unsigned long long>(serve_sim_runs), kRequests);
   return obs::JsonWriter()
       .field("graph", graph.name())
       .field("signature_us", hash_us)
@@ -614,6 +621,7 @@ std::string warm_path_record(const core::PowerLens& framework,
       .field("serve_us_per_request", serve_us)
       .field("sim_us_per_run", run_us)
       .field("serve_over_run_paired", serve_over_run.median)
+      .field("serve_sim_runs", static_cast<double>(serve_sim_runs))
       .str();
 }
 

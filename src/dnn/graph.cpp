@@ -2,8 +2,49 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string_view>
 
 namespace powerlens::dnn {
+
+namespace {
+
+// FNV-1a 64-bit, folded byte by byte; integers fold little-endian.
+constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
+constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+
+constexpr std::uint64_t fnv1a_byte(std::uint64_t h, unsigned char b) noexcept {
+  return (h ^ b) * kFnvPrime;
+}
+
+constexpr std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) noexcept {
+  for (int i = 0; i < 8; ++i) {
+    h = fnv1a_byte(h, static_cast<unsigned char>(v >> (8 * i)));
+  }
+  return h;
+}
+
+std::uint64_t fold_bytes(std::uint64_t h, std::string_view s) {
+  h = fnv1a_u64(h, s.size());
+  for (const char c : s) h = fnv1a_byte(h, static_cast<unsigned char>(c));
+  return h;
+}
+
+std::uint64_t fold_i64(std::uint64_t h, std::int64_t v) {
+  return fnv1a_u64(h, static_cast<std::uint64_t>(v));
+}
+
+std::uint64_t fold_shape(std::uint64_t h, const TensorShape& s) {
+  h = fold_i64(h, s.n);
+  h = fold_i64(h, s.c);
+  h = fold_i64(h, s.h);
+  return fold_i64(h, s.w);
+}
+
+// An empty graph folds a zero name length and a zero layer count.
+static_assert(fnv1a_u64(fnv1a_u64(kFnvOffset, 0), 0) ==
+              Graph::kEmptySignature);
+
+}  // namespace
 
 Graph::Graph(std::string name, std::vector<Layer> layers,
              std::vector<std::vector<NodeId>> producers)
@@ -22,6 +63,37 @@ Graph::Graph(std::string name, std::vector<Layer> layers,
       consumers_[p].push_back(id);
     }
   }
+  signature_ = hash_graph(*this);
+}
+
+std::uint64_t hash_graph(const Graph& graph) {
+  std::uint64_t h = kFnvOffset;
+  h = fold_bytes(h, graph.name());
+  h = fnv1a_u64(h, graph.size());
+  for (NodeId i = 0; i < graph.size(); ++i) {
+    const Layer& layer = graph.layer(i);
+    h = fnv1a_u64(h, static_cast<std::uint64_t>(layer.type));
+    h = fold_bytes(h, layer.name);
+    h = fold_shape(h, layer.input);
+    h = fold_shape(h, layer.output);
+    h = fold_i64(h, layer.flops);
+    h = fold_i64(h, layer.params);
+    h = fold_i64(h, layer.mem_bytes);
+    h = fold_i64(h, layer.conv.kernel_h);
+    h = fold_i64(h, layer.conv.kernel_w);
+    h = fold_i64(h, layer.conv.stride);
+    h = fold_i64(h, layer.conv.padding);
+    h = fold_i64(h, layer.conv.groups);
+    h = fold_i64(h, layer.conv.filters);
+    h = fold_i64(h, layer.attn.heads);
+    h = fold_i64(h, layer.attn.embed_dim);
+    h = fold_i64(h, layer.attn.head_dim);
+    h = fold_i64(h, layer.attn.seq_len);
+    const auto producers = graph.producers(i);
+    h = fnv1a_u64(h, producers.size());
+    for (const NodeId p : producers) h = fnv1a_u64(h, p);
+  }
+  return h;
 }
 
 std::int64_t Graph::total_flops() const noexcept {

@@ -5,6 +5,16 @@
 // regularization). Edges record producers so the global feature extractor can
 // count residual joins and branch points (section 2.1.2, macro structural
 // features).
+//
+// A Graph is immutable after construction, so it computes its structural
+// signature once, in its constructor: FNV-1a 64-bit over the name, every
+// layer's type, name, shapes, cost and deep attributes, and every edge.
+// Only integral fields and bytes are folded (never doubles or pointers), so
+// rebuilding the same zoo model at the same batch size reproduces the value
+// across processes and platforms, and a copy carries its source's value.
+// The serving layer keys plans by it (serve/signature.hpp): the optimizer is
+// a pure function of the graph for a trained framework, so equal signatures
+// imply equal plans.
 #pragma once
 
 #include "dnn/layer.hpp"
@@ -26,6 +36,11 @@ class Graph {
         std::vector<std::vector<NodeId>> producers);
 
   const std::string& name() const noexcept { return name_; }
+  // The signature computed at construction (see the file comment).
+  std::uint64_t signature() const noexcept { return signature_; }
+  // What Graph{} holds: the hash of an empty name and zero layers
+  // (static_assert-ed against the hash in graph.cpp).
+  static constexpr std::uint64_t kEmptySignature = 0xa31e272015f12c43ULL;
   std::size_t size() const noexcept { return layers_.size(); }
   bool empty() const noexcept { return layers_.empty(); }
 
@@ -72,9 +87,9 @@ class Graph {
   // std::invalid_argument describing the first violation.
   void validate() const;
 
-  // Field-exact equality (name, every layer, every edge); consumers are
-  // derived from producers, so comparing them too costs nothing extra and
-  // keeps this defaultable. The interchange round-trip tests assert
+  // Field-exact equality (name, every layer, every edge); consumers and the
+  // signature are derived from those, so comparing them too costs nothing
+  // extra and keeps this defaultable. The interchange round-trip tests assert
   // load(save(g)) == g through this.
   bool operator==(const Graph&) const = default;
 
@@ -83,6 +98,12 @@ class Graph {
   std::vector<Layer> layers_;
   std::vector<std::vector<NodeId>> producers_;
   std::vector<std::vector<NodeId>> consumers_;
+  std::uint64_t signature_ = kEmptySignature;
 };
+
+// Recomputes the FNV-1a signature from the graph's fields, as its
+// constructor did; signature() returns the stored value. For tests that
+// check the stored value and benches that time what a hash costs.
+std::uint64_t hash_graph(const Graph& graph);
 
 }  // namespace powerlens::dnn

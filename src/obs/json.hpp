@@ -47,6 +47,9 @@ class JsonWriter {
   JsonWriter& field(std::string_view key, bool value);
   // Emits `null` for NaN/infinite values instead of clamping to 0.
   JsonWriter& field_or_null(std::string_view key, double value);
+  // Appends pre-rendered comma-joined fields (another writer's body()), so
+  // a fragment many records share is formatted once. Empty appends nothing.
+  JsonWriter& fields(std::string_view rendered);
 
   // The finished object, e.g. {"phase": "generate", "seconds": 0.41}.
   std::string str() const;

@@ -41,20 +41,14 @@ double clamp_scale(double v, double lo, double hi) {
 
 AdaptController::AdaptController(const hw::Platform& platform,
                                  std::span<const DeployedModel> models,
-                                 std::span<const std::uint64_t> model_sigs,
                                  const core::PowerLens& framework,
                                  AdaptConfig config)
     : platform_(&platform),
       models_(models),
-      model_sigs_(model_sigs),
       config_(config),
       active_(std::make_shared<core::PowerLens>(framework)) {
   if (config_.epoch_tasks == 0) {
     throw std::invalid_argument("AdaptController: epoch_tasks == 0");
-  }
-  if (models_.size() != model_sigs_.size()) {
-    throw std::invalid_argument(
-        "AdaptController: models/signatures size mismatch");
   }
   time_scale_.assign(models_.size(), 1.0);
   energy_scale_.assign(models_.size(), 1.0);
@@ -161,7 +155,7 @@ void AdaptController::on_epoch_boundary(const EpochContext& ctx) {
         if (k.policy != ctx.policy || k.model != models_[m].name) continue;
         if (k.signature == 0) {
           model_key = &k;
-        } else if (k.signature == model_sigs_[m]) {
+        } else if (k.signature == models_[m].graph.signature()) {
           sig_key = &k;
         }
       }
@@ -223,7 +217,8 @@ void AdaptController::on_epoch_boundary(const EpochContext& ctx) {
       // deployed with, captured once — composing against an already
       // corrected plan would square the scale factors.
       if (!base_plans_[m].has_value()) {
-        if (PlanCache::PlanPtr cached = ctx.cache->lookup(model_sigs_[m])) {
+        const std::uint64_t sig = models_[m].graph.signature();
+        if (PlanCache::PlanPtr cached = ctx.cache->lookup(sig)) {
           base_plans_[m] = *cached;
         } else {
           base_plans_[m] = active_->optimize(models_[m].graph);
@@ -265,7 +260,7 @@ void AdaptController::on_epoch_boundary(const EpochContext& ctx) {
         .observe(replan_ms);
     for (std::size_t i = 0; i < plans.size(); ++i) {
       const std::size_t m = pending[i].model;
-      ctx.cache->install(model_sigs_[m],
+      ctx.cache->install(models_[m].graph.signature(),
                          std::make_shared<const core::OptimizationPlan>(
                              plans[i]));
       ++replans_;
@@ -304,7 +299,8 @@ void AdaptController::on_epoch_boundary(const EpochContext& ctx) {
       const std::size_t m = pending[i].model;
       obs::JsonWriter r;
       r.field("model", models_[m].name);
-      r.field("plan_signature", obs::hex_signature(model_sigs_[m]));
+      r.field("plan_signature",
+              obs::hex_signature(models_[m].graph.signature()));
       r.field("time_scale", time_scale_[m]);
       r.field("energy_scale", energy_scale_[m]);
       r.field("latency_ewma", pending[i].latency_ewma);

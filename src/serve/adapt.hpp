@@ -64,11 +64,10 @@ struct AdaptConfig {
 class AdaptController {
  public:
   // Copies `framework` into the controller's active bundle (the original is
-  // never mutated). `models` and `model_sigs` must outlive the controller
-  // (the Server owns both). Throws std::invalid_argument on a zero epoch.
+  // never mutated). `models` must outlive the controller (the Server owns
+  // them). Throws std::invalid_argument on a zero epoch.
   AdaptController(const hw::Platform& platform,
                   std::span<const DeployedModel> models,
-                  std::span<const std::uint64_t> model_sigs,
                   const core::PowerLens& framework, AdaptConfig config);
   // Joins any in-flight retrain thread.
   ~AdaptController();
@@ -122,7 +121,6 @@ class AdaptController {
 
   const hw::Platform* platform_;
   std::span<const DeployedModel> models_;
-  std::span<const std::uint64_t> model_sigs_;
   AdaptConfig config_;
 
   // The active model bundle. Mutated (swapped) only at epoch boundaries.

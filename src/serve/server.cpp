@@ -57,6 +57,26 @@ double quantile(const std::vector<double>& sorted, double q) {
 
 }  // namespace
 
+// One distinct (model, plan, passes) run of a simulate_parallel call. The
+// worker that inserts it simulates and publishes it; workers that find it
+// wait until it is ready. The entry holds its plan, so no other plan can be
+// allocated at the key's address while the call runs. The journal
+// fragments belong to the fold on the calling thread, which renders each
+// once, on the first request the entry serves (DESIGN §5m).
+struct Server::MemoEntry {
+  PlanCache::PlanPtr plan;
+  // Written once by the inserting worker before `ready` (under the memo
+  // lock), read-only afterwards. The summary keeps the scalars a worker
+  // reads; the trace vectors are dropped.
+  bool ready = false;
+  std::exception_ptr error;
+  hw::ExecutionResult summary;
+  // Fold thread only.
+  std::string attempt_fields;     // the attempt record's body
+  std::string service_fields;     // "service_s" … "faults"
+  std::string prediction_fields;  // "predicted_time_s" … "energy_residual"
+};
+
 const char* policy_name(ServePolicy policy) noexcept {
   switch (policy) {
     case ServePolicy::kPowerLens: return "PowerLens";
@@ -94,10 +114,8 @@ Server::Server(const hw::Platform& platform,
       config_.degrade.backoff_cap_s < 0.0) {
     throw std::invalid_argument("Server: backoff times must be >= 0");
   }
-  model_sigs_.reserve(models_.size());
   maxn_costs_.reserve(models_.size());
   for (const DeployedModel& m : models_) {
-    model_sigs_.push_back(graph_signature(m.graph));
     // Per-pass prediction for pinned-MAXN executions (the MAXN policy and
     // fault fallbacks): the lag-free analytic cost at maximum levels.
     maxn_costs_.push_back(hw::analytic_block_cost(
@@ -136,7 +154,7 @@ Server::Server(const hw::Platform& platform,
     ac.retrain = config_.adapt_retrain;
     ac.retrain_min_rows = config_.adapt_retrain_min_rows;
     adapt_ = std::make_unique<AdaptController>(*platform_, models_,
-                                               model_sigs_, *framework_, ac);
+                                               *framework_, ac);
   }
 }
 
@@ -172,7 +190,7 @@ PlanCache::PlanPtr Server::plan_for(std::size_t model_index,
   };
   const dnn::Graph& graph = models_[model_index].graph;
   if (config_.use_plan_cache) {
-    return cache_.get_or_compute(model_sigs_[model_index], graph, factory);
+    return cache_.get_or_compute(graph.signature(), graph, factory);
   }
   return std::make_shared<const core::OptimizationPlan>(factory(graph));
 }
@@ -209,8 +227,53 @@ std::vector<Server::ServiceResult> Server::simulate_parallel(
 
   const bool inject = config_.faults.active();
   // Without faults or a trace to feed, a run is a pure function of (model,
-  // plan, passes), so each worker simulates it once per call (DESIGN §5m).
+  // plan, passes), so the call simulates each distinct one once, on
+  // whichever worker claims it first (DESIGN §5m). A null plan in the key
+  // is a pinned MAXN run. Entries are node-stable and outlive the fold.
   const bool memoize = !inject && !obs::default_trace().enabled();
+  using MemoKey =
+      std::tuple<std::size_t, const core::OptimizationPlan*, int>;
+  std::mutex memo_mu;
+  std::condition_variable memo_cv;
+  std::map<MemoKey, MemoEntry> memo;
+  // The memoized run of `key`: simulated through `simulate` by the first
+  // worker to need it, waited for by every other. A failed simulation is
+  // rethrown to each worker that needs the key.
+  const auto memoized = [&](const MemoKey& key, PlanCache::PlanPtr plan,
+                            const auto& simulate) -> MemoEntry& {
+    std::unique_lock<std::mutex> lock(memo_mu);
+    const auto [it, inserted] = memo.try_emplace(key);
+    MemoEntry& entry = it->second;
+    if (!inserted) {
+      memo_cv.wait(lock, [&] { return entry.ready; });
+      if (entry.error) std::rethrow_exception(entry.error);
+      lock.unlock();
+      // A reuse still counts as a simulator run in powerlens_sim_*.
+      hw::record_run_metrics(entry.summary);
+      memo_reuses_.fetch_add(1, std::memory_order_relaxed);
+      return entry;
+    }
+    entry.plan = std::move(plan);
+    lock.unlock();
+    hw::ExecutionResult fresh;
+    std::exception_ptr error;
+    try {
+      fresh = simulate();
+      fresh.gpu_trace = {};
+      fresh.power_samples = {};
+      fresh.item_marks = {};
+    } catch (...) {
+      error = std::current_exception();
+    }
+    lock.lock();
+    entry.summary = std::move(fresh);
+    entry.error = error;
+    entry.ready = true;
+    lock.unlock();
+    memo_cv.notify_all();
+    if (error) std::rethrow_exception(error);
+    return entry;
+  };
   const auto worker = [&] {
     // Each worker owns its simulator and CPU governor; runs are independent
     // (the governor resets per run), so results are keyed by task index and
@@ -222,17 +285,6 @@ std::vector<Server::ServiceResult> Server::simulate_parallel(
     // Private scratch pool for every plan computed on this worker; after the
     // first miss of each graph shape, further misses allocate nothing.
     linalg::Workspace ws;
-    // This call's memoized runs, keyed by (model, plan, passes); a null plan
-    // is a pinned MAXN run. An entry holds its plan, so no other plan can
-    // take the address while the key is in use. The summary keeps the
-    // scalars a worker reads; the trace vectors are dropped.
-    struct Memoized {
-      PlanCache::PlanPtr plan;
-      hw::ExecutionResult summary;
-    };
-    std::map<std::tuple<std::size_t, const core::OptimizationPlan*, int>,
-             Memoized>
-        memo;
     while (!stop.load(std::memory_order_relaxed)) {
       const std::size_t idx = next_task.fetch_add(1, std::memory_order_relaxed);
       if (idx >= tasks.size()) break;
@@ -266,26 +318,23 @@ std::vector<Server::ServiceResult> Server::simulate_parallel(
             policy.schedule = &plan->schedule;
             policy.governor = &cpu_governor;
           }
+          const auto simulate = [&] {
+            sim_runs_.fetch_add(1, std::memory_order_relaxed);
+            return engine.run(model.graph, task.passes, policy);
+          };
           hw::ExecutionResult fresh;
           const hw::ExecutionResult* run = &fresh;
           if (!memoize) {
-            fresh = engine.run(model.graph, task.passes, policy);
+            fresh = simulate();
           } else {
-            const auto key = std::make_tuple(
-                task.model_index, planned ? plan.get() : nullptr, task.passes);
-            auto it = memo.find(key);
-            if (it != memo.end()) {
-              hw::record_run_metrics(it->second.summary);
-            } else {
-              fresh = engine.run(model.graph, task.passes, policy);
-              fresh.gpu_trace = {};
-              fresh.power_samples = {};
-              fresh.item_marks = {};
-              it = memo.emplace(key, Memoized{planned ? plan : nullptr,
-                                              std::move(fresh)})
-                       .first;
-            }
-            run = &it->second.summary;
+            // Without injection no attempt degrades, so a memoized request
+            // has exactly this one attempt.
+            MemoEntry& entry = memoized(
+                {task.model_index, planned ? plan.get() : nullptr,
+                 task.passes},
+                planned ? plan : nullptr, simulate);
+            out.memo = &entry;
+            run = &entry.summary;
           }
           const hw::ExecutionResult& r = *run;
           // Every attempt occupies the device and burns energy; only the
@@ -379,6 +428,8 @@ std::vector<Server::ServiceResult> Server::simulate_parallel(
   }
   for (std::thread& t : workers) t.join();
   if (first_error) std::rethrow_exception(first_error);
+  // The memo dies with this call; nothing past the fold may reach it.
+  for (ServiceResult& r : results) r.memo = nullptr;
   return results;
 }
 
@@ -415,6 +466,7 @@ std::vector<Server::ServiceResult> Server::simulate_reactive(
     policy.faults = &*injector;
   }
 
+  sim_runs_.fetch_add(1, std::memory_order_relaxed);
   const hw::ExecutionResult r = engine.run_workload(items, policy);
   marks_.assign(r.item_marks.begin(), r.item_marks.end());
   reactive_faults_ = r.faults;
@@ -476,6 +528,7 @@ class Server::Fold {
     // the zero-miss counter of a warm cache.
     plan_seen_ = plan_resident_before;
     plan_seen_.resize(s_.models_.size(), false);
+    model_fields_.resize(s_.models_.size());
     latencies_.reserve(total_tasks);
   }
 
@@ -490,58 +543,111 @@ class Server::Fold {
  private:
   // One structured record per request (admitted, rejected, or shed), then
   // one per execution attempt the workers simulated for it — every record
-  // of a serve() call is appended here, in ascending key order.
+  // of a serve() call is appended here, in ascending key order. A memoized
+  // run's attempt body and its run-only request fields are the same for
+  // every request it serves, so they render once per memo entry; the model
+  // and signature fields render once per model. Each record then formats
+  // only its own fields.
   void journal_request(const RequestOutcome& o, const ServiceResult& svc,
                        std::string_view outcome) {
     if (journal_ == nullptr) return;
+    MemoEntry* const memo = svc.memo;
+    // `render`'s fields: rendered once into `shared` (a memo entry's slot,
+    // read by every request the entry serves), or anew when it is null.
+    // Every fragment holds a field, so an empty slot is an unrendered one.
+    std::string scratch;
+    const auto fragment = [&scratch](std::string* shared,
+                                     const auto& render) -> const std::string& {
+      std::string& out = shared != nullptr ? *shared : scratch;
+      if (shared == nullptr || out.empty()) {
+        obs::JsonWriter f;
+        render(f);
+        out = f.body();
+      }
+      return out;
+    };
+    ModelFields& model = model_fields(o.model_index);
     obs::JsonWriter w;
-    w.field("model", s_.models_[o.model_index].name);
+    w.fields(model.name);
     w.field("outcome", outcome);
     w.field("arrival_s", o.arrival_s);
     if (o.admitted) {
       w.field("start_s", o.start_s);
       w.field("finish_s", o.finish_s);
       w.field("wait_s", o.wait_s);
-      w.field("service_s", o.service_s);
-      w.field("energy_j", o.energy_j);
-      w.field("images", static_cast<double>(o.images));
-      w.field("retries", static_cast<double>(o.retries));
-      w.field("backoff_s", o.backoff_s);
-      w.field("fell_back", o.fell_back);
-      w.field("faults", fault::fault_tag(o.faults));
+      w.fields(fragment(memo != nullptr ? &memo->service_fields : nullptr,
+                        [&](obs::JsonWriter& f) {
+        f.field("service_s", o.service_s);
+        f.field("energy_j", o.energy_j);
+        f.field("images", static_cast<double>(o.images));
+        f.field("retries", static_cast<double>(o.retries));
+        f.field("backoff_s", o.backoff_s);
+        f.field("fell_back", o.fell_back);
+        f.field("faults", fault::fault_tag(o.faults));
+      }));
       if (o.deadline_s > 0.0) {
         w.field("deadline_s", o.deadline_s);
         w.field("deadline_missed", o.deadline_missed);
       }
     }
     if (plan_based_) {
-      w.field("plan_signature", obs::hex_signature(o.plan_signature));
+      w.fields(model.signature);
       w.field("plan_cold", o.plan_cold);
     }
-    w.field_or_null("predicted_time_s", o.predicted_time_s);
-    w.field_or_null("predicted_energy_j", o.predicted_energy_j);
-    w.field_or_null("observed_time_s", o.observed_time_s);
-    w.field_or_null("observed_energy_j", o.observed_energy_j);
-    w.field_or_null("latency_residual", o.latency_residual);
-    w.field_or_null("energy_residual", o.energy_residual);
+    // Rejected and shed requests carry no prediction: their nulls are not
+    // the memo entry's fields.
+    std::string* const prediction =
+        o.admitted && memo != nullptr ? &memo->prediction_fields : nullptr;
+    w.fields(fragment(prediction, [&](obs::JsonWriter& f) {
+      f.field_or_null("predicted_time_s", o.predicted_time_s);
+      f.field_or_null("predicted_energy_j", o.predicted_energy_j);
+      f.field_or_null("observed_time_s", o.observed_time_s);
+      f.field_or_null("observed_energy_j", o.observed_energy_j);
+      f.field_or_null("latency_residual", o.latency_residual);
+      f.field_or_null("energy_residual", o.energy_residual);
+    }));
     journal_->append(s_.run_id_, o.task_id, kSeqRequest, "request", w.body());
     for (std::size_t a = 0; a < svc.attempts.size(); ++a) {
       const AttemptRecord& rec = svc.attempts[a];
-      obs::JsonWriter aw;
-      aw.field("attempt", static_cast<double>(a));
-      aw.field("time_s", rec.time_s);
-      aw.field("energy_j", rec.energy_j);
-      aw.field("mean_power_w", rec.mean_power_w);
-      aw.field("peak_power_w", rec.peak_power_w);
-      aw.field("dvfs_transitions", static_cast<double>(rec.dvfs_transitions));
-      aw.field("faults", fault::fault_tag(rec.faults));
-      aw.field("degraded", rec.degraded);
-      aw.field("pinned", rec.pinned);
-      if (rec.backoff_s > 0.0) aw.field("backoff_s", rec.backoff_s);
-      journal_->append(s_.run_id_, o.task_id,
-                       kSeqFirstAttempt + static_cast<std::uint32_t>(a),
-                       "attempt", aw.body());
+      journal_->append(
+          s_.run_id_, o.task_id,
+          kSeqFirstAttempt + static_cast<std::uint32_t>(a), "attempt",
+          fragment(memo != nullptr ? &memo->attempt_fields : nullptr,
+                   [&](obs::JsonWriter& f) {
+            f.field("attempt", static_cast<double>(a));
+            f.field("time_s", rec.time_s);
+            f.field("energy_j", rec.energy_j);
+            f.field("mean_power_w", rec.mean_power_w);
+            f.field("peak_power_w", rec.peak_power_w);
+            f.field("dvfs_transitions",
+                    static_cast<double>(rec.dvfs_transitions));
+            f.field("faults", fault::fault_tag(rec.faults));
+            f.field("degraded", rec.degraded);
+            f.field("pinned", rec.pinned);
+            if (rec.backoff_s > 0.0) f.field("backoff_s", rec.backoff_s);
+          }));
     }
+  }
+
+  // The "model" and "plan_signature" fields of one deployed model.
+  struct ModelFields {
+    std::string name;
+    std::string signature;
+  };
+  ModelFields& model_fields(std::size_t model_index) {
+    ModelFields& m = model_fields_[model_index];
+    if (m.name.empty()) {
+      m.name = obs::JsonWriter()
+                   .field("model", s_.models_[model_index].name)
+                   .body();
+      m.signature =
+          obs::JsonWriter()
+              .field("plan_signature",
+                     obs::hex_signature(
+                         s_.models_[model_index].graph.signature()))
+              .body();
+    }
+    return m;
   }
 
   Server& s_;
@@ -555,6 +661,7 @@ class Server::Fold {
   // prediction excludes it, so fold it back in when scaling to a request.
   const double gap_s_ = hw::RunPolicy{}.inter_pass_gap_s;
   std::vector<bool> plan_seen_;
+  std::vector<ModelFields> model_fields_;  // rendered on first use
   std::size_t deadline_tasks_ = 0;  // admitted requests carrying a deadline
   double latency_residual_sum_ = 0.0;
   double energy_residual_sum_ = 0.0;
@@ -585,7 +692,7 @@ void Server::Fold::consume(std::span<const Task> tasks,
       // fold's admission decisions come later), so "cold" means "first in
       // task order to need this model's plan" — the deterministic stand-in
       // for the scheduling-dependent cache miss counter.
-      out.plan_signature = s_.model_sigs_[task.model_index];
+      out.plan_signature = s_.models_[task.model_index].graph.signature();
       out.plan_cold = !plan_seen_[task.model_index];
       plan_seen_[task.model_index] = true;
     }
@@ -971,8 +1078,9 @@ ServeReport Server::serve(std::span<const Task> tasks) {
   std::vector<bool> plan_resident_before;
   if (config_.policy == ServePolicy::kPowerLens && config_.use_plan_cache) {
     plan_resident_before.reserve(models_.size());
-    for (const std::uint64_t sig : model_sigs_) {
-      plan_resident_before.push_back(cache_.lookup(sig) != nullptr);
+    for (const DeployedModel& m : models_) {
+      plan_resident_before.push_back(cache_.lookup(m.graph.signature()) !=
+                                     nullptr);
     }
   }
   marks_.clear();

@@ -14,9 +14,10 @@
 //    Figure 5 protocol), so worker threads claim ascending request indices
 //    from one atomic counter and write results into per-index slots. Without
 //    fault injection or an enabled default trace, a run is a pure function
-//    of (model, plan, passes), so each worker simulates a repeated one once
-//    per simulate_parallel call and reuses its result, still counting it in
-//    the powerlens_sim_* metrics (DESIGN §5m).
+//    of (model, plan, passes), so one memo table shared by the workers of a
+//    simulate_parallel call simulates each distinct run once, on whichever
+//    worker claims it first, and every other request reuses its result,
+//    still counting it in the powerlens_sim_* metrics (DESIGN §5m).
 //  - Reactive policies: governor state must persist across request
 //    boundaries (a real cpufreq/podgov instance never resets between
 //    requests), so the whole stream executes as ONE continuous
@@ -30,7 +31,10 @@
 // control (bounded in-system task count on the *simulated* clock),
 // start/finish times on the single device, per-request latency and
 // deadline accounting, metrics, per-request trace spans on a virtual
-// track, and every journal record. Workers only simulate.
+// track, and every journal record. Workers only simulate. A memoized run's
+// journal fragments (its attempt body and the request fields that depend
+// only on the run) are rendered once per memo entry, so a warm request
+// formats only its own timeline fields.
 //
 // Fault injection and graceful degradation: ServerConfig::faults turns on
 // the deterministic hardware fault model (src/fault). Plan policies derive
@@ -60,6 +64,7 @@
 #include "serve/plan_cache.hpp"
 #include "serve/request_stream.hpp"
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -150,10 +155,12 @@ struct ServerConfig {
   // Trace sink; null means obs::default_trace().
   obs::TraceWriter* trace = nullptr;
   // Structured per-request event journal; null means obs::default_journal().
-  // Always on by default — records are bounded, deterministic, and cheap
-  // (one string per event, appended by the fold on the serve() calling
-  // thread under one journal lock); journal_enabled = false is the
-  // overhead-measurement escape hatch.
+  // Always on by default — records are bounded, deterministic, and cheap:
+  // one string per event, appended by the fold on the serve() calling
+  // thread under one journal lock, with a memoized run's attempt body and
+  // run-only request fields rendered once per call and shared by every
+  // request it serves. journal_enabled = false is the overhead-measurement
+  // escape hatch.
   obs::Journal* journal = nullptr;
   bool journal_enabled = true;
   // Predicted-vs-observed accounting sink; null means
@@ -328,7 +335,23 @@ class Server {
   const hw::Platform& platform() const noexcept { return *platform_; }
   const ServerConfig& config() const noexcept { return config_; }
 
+  // Deterministic work counts over this server's lifetime: simulator runs
+  // executed (each SimEngine run, retries included; a reactive stream's
+  // continuous run counts once), and requests whose run came from the
+  // served-run memo instead. A serve() of K distinct fault-free keys runs
+  // exactly K, whatever the worker count. Deliberately neither metrics nor
+  // report fields, so no exported byte depends on them.
+  std::uint64_t sim_runs() const noexcept {
+    return sim_runs_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t memo_reuses() const noexcept {
+    return memo_reuses_.load(std::memory_order_relaxed);
+  }
+
  private:
+  // One simulate_parallel call's served-run memo entry (server.cpp).
+  struct MemoEntry;
+
   struct ServiceResult {
     double service_s = 0.0;
     double energy_j = 0.0;
@@ -344,6 +367,10 @@ class Server {
     std::vector<AttemptRecord> attempts;
     double predicted_pass_time_s = 0.0;
     double predicted_pass_energy_j = 0.0;
+    // The memo entry this result was served from, null when it was not
+    // memoized; it outlives the fold of its call, which renders the entry's
+    // journal fragments into it once.
+    MemoEntry* memo = nullptr;
   };
 
   // The plan for deployed model `model_index`, keyed by its stored
@@ -394,17 +421,18 @@ class Server {
   // Fault totals of the last reactive run (marks differencing cannot
   // attribute them per item); zero for plan policies.
   hw::FaultCounters reactive_faults_;
-  // Per-model graph signatures, hashed once at construction (plan-cache
-  // keys, journal records, residual keys), and the analytic MAXN per-pass
-  // cost each model would incur at pinned maximum levels (the predicted
-  // cost of MAXN and fallback executions).
-  std::vector<std::uint64_t> model_sigs_;
+  // The analytic MAXN per-pass cost each model would incur at pinned
+  // maximum levels (the predicted cost of MAXN and fallback executions).
+  // Plan-cache keys, journal records and residual keys read each model's
+  // signature from its graph, which computed it once at construction.
   std::vector<hw::BlockCost> maxn_costs_;
   // Journal run id of the serve() in flight (claimed per call, so records
   // from successive serves never interleave in the sorted export).
   std::uint64_t run_id_ = 0;
   // Closed-loop adaptation state (null when adapt_enabled is false).
   std::unique_ptr<AdaptController> adapt_;
+  std::atomic<std::uint64_t> sim_runs_{0};
+  std::atomic<std::uint64_t> memo_reuses_{0};
 };
 
 }  // namespace powerlens::serve

@@ -1,12 +1,10 @@
-// Stable structural signature of a DNN graph, the PlanCache key.
+// The PlanCache key: a DNN graph's structural signature.
 //
-// Two graphs with identical layer sequences (types, shapes, cost attributes,
-// deep attributes), identical edges, and identical names hash to the same
-// 64-bit value — rebuilding the same zoo model at the same batch size always
-// reproduces the signature, across processes and platforms (the hash folds
-// only integral fields and bytes, never doubles or pointers). The optimizer
-// is a pure function of the graph for a trained framework, so equal
-// signatures imply equal optimization plans.
+// dnn::Graph computes it once, in its constructor (see dnn/graph.hpp for
+// what it folds and why it is stable across rebuilds, processes and
+// platforms); this accessor returns the stored value, so keying a request
+// costs no hash. The optimizer is a pure function of the graph for a
+// trained framework, so equal signatures imply equal optimization plans.
 #pragma once
 
 #include "dnn/graph.hpp"
@@ -15,22 +13,9 @@
 
 namespace powerlens::serve {
 
-// FNV-1a 64-bit accumulator; exposed so tests can fold custom prefixes.
-inline constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-inline constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-constexpr std::uint64_t fnv1a_byte(std::uint64_t h, unsigned char b) noexcept {
-  return (h ^ b) * kFnvPrime;
-}
-
-constexpr std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    h = fnv1a_byte(h, static_cast<unsigned char>(v >> (8 * i)));
-  }
-  return h;
-}
-
 // Signature of a whole graph (name, every layer, every edge).
-std::uint64_t graph_signature(const dnn::Graph& graph);
+inline std::uint64_t graph_signature(const dnn::Graph& graph) noexcept {
+  return graph.signature();
+}
 
 }  // namespace powerlens::serve

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -99,6 +100,53 @@ TEST(JsonNumber, MatchesPrintfFormats) {
     if (got != expected && ++mismatches <= 5) {
       ADD_FAILURE() << "value " << std::hexfloat << v << ": got " << got
                     << ", printf gives " << expected;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << values.size() << " values";
+}
+
+// Integral values below 2^53 print through the integer formatter; the
+// double formatter's to_chars(fixed, 0) output, and general 12 from 2^53
+// on, are what it must reproduce, -0.0 included.
+std::string to_chars_reference(double v) {
+  char buf[64];
+  const bool integral =
+      v == std::floor(v) && std::fabs(v) < 9.007199254740992e15;
+  const std::to_chars_result r =
+      integral ? std::to_chars(buf, buf + sizeof(buf), v,
+                               std::chars_format::fixed, 0)
+               : std::to_chars(buf, buf + sizeof(buf), v,
+                               std::chars_format::general, 12);
+  return std::string(buf, r.ptr);
+}
+
+TEST(JsonNumber, IntegerFastPathMatchesFixedFormat) {
+  constexpr double kTwo53 = 9007199254740992.0;
+  std::vector<double> values = {0.0,           -0.0,          1.0,
+                                -1.0,          kTwo53 - 1.0,  -(kTwo53 - 1.0),
+                                kTwo53,        -kTwo53};
+  std::mt19937_64 rng(20261020);
+  std::uniform_int_distribution<std::int64_t> integer(
+      -(std::int64_t{1} << 53) + 1, (std::int64_t{1} << 53) - 1);
+  std::uniform_int_distribution<int> digits(0, 15);
+  for (int i = 0; i < 10000; ++i) {
+    // Spread over every digit count, not just the large magnitudes a
+    // uniform draw favours.
+    const std::int64_t scale = static_cast<std::int64_t>(
+        std::pow(10.0, static_cast<double>(digits(rng))));
+    values.push_back(static_cast<double>(integer(rng) % scale));
+  }
+  EXPECT_EQ(json_number(-0.0), "-0");
+  EXPECT_EQ(json_number(kTwo53 - 1.0), "9007199254740991");
+  EXPECT_EQ(json_number(kTwo53), to_chars_reference(kTwo53));
+  EXPECT_NE(json_number(kTwo53), "9007199254740992");  // general path
+  std::size_t mismatches = 0;
+  for (const double v : values) {
+    const std::string expected = to_chars_reference(v);
+    const std::string got = json_number(v);
+    if (got != expected && ++mismatches <= 5) {
+      ADD_FAILURE() << "value " << v << ": got " << got << ", to_chars gives "
+                    << expected;
     }
   }
   EXPECT_EQ(mismatches, 0u) << "of " << values.size() << " values";

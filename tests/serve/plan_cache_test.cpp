@@ -6,6 +6,7 @@
 #include "core/powerlens.hpp"
 #include "dnn/models.hpp"
 #include "hw/platform.hpp"
+#include "io/interchange.hpp"
 #include "obs/metrics.hpp"
 #include "serve/signature.hpp"
 
@@ -13,13 +14,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace powerlens::serve {
@@ -50,6 +54,67 @@ TEST(GraphSignatureTest, ZooModelsAllDistinct) {
       EXPECT_NE(sigs[i], sigs[j]) << "zoo models " << i << " and " << j;
     }
   }
+}
+
+// The zoo's signatures at batch 10, recorded when the hash still ran per
+// call in the serving layer. Graphs now hash once at construction; these
+// values, the snapshot files and every golden keyed by them must not move.
+TEST(GraphSignatureTest, ZooSignaturesMatchRecordedValues) {
+  const std::pair<std::string_view, std::uint64_t> kRecorded[] = {
+      {"alexnet", 0x19af7ccaa20411b3ULL},
+      {"googlenet", 0x27f0cc81f8a7ec26ULL},
+      {"vgg19", 0x0882504630358818ULL},
+      {"mobilenet_v3", 0x2530f88431c98f00ULL},
+      {"densenet201", 0xd29d8d0bfdc6d408ULL},
+      {"resnext101", 0xcc1092907ca5c2b8ULL},
+      {"resnet34", 0xe125a10027886205ULL},
+      {"resnet152", 0x062d1fadd45108ecULL},
+      {"regnet_x_32gf", 0x8e774460a3678933ULL},
+      {"regnet_y_128gf", 0xca7151759aacf80aULL},
+      {"vit_base_16", 0xc4fa6ba8c1e925eaULL},
+      {"vit_base_32", 0xc2292b5729fe83b6ULL},
+  };
+  ASSERT_EQ(dnn::model_zoo().size(), std::size(kRecorded));
+  for (std::size_t i = 0; i < std::size(kRecorded); ++i) {
+    const dnn::ModelSpec& spec = dnn::model_zoo()[i];
+    ASSERT_EQ(spec.name, kRecorded[i].first);
+    const dnn::Graph g = spec.build(10);
+    EXPECT_EQ(graph_signature(g), kRecorded[i].second) << spec.name;
+    EXPECT_EQ(dnn::hash_graph(g), kRecorded[i].second) << spec.name;
+  }
+}
+
+TEST(GraphSignatureTest, CopiesCarryTheSignature) {
+  const dnn::Graph g = dnn::make_model("resnet34", 4);
+  const dnn::Graph copy = g;
+  dnn::Graph assigned;
+  assigned = g;
+  dnn::Graph moved_from = g;
+  const dnn::Graph moved = std::move(moved_from);
+  EXPECT_EQ(graph_signature(copy), graph_signature(g));
+  EXPECT_EQ(graph_signature(assigned), graph_signature(g));
+  EXPECT_EQ(graph_signature(moved), graph_signature(g));
+}
+
+TEST(GraphSignatureTest, DecodedAndRebuiltGraphsKeepTheSignature) {
+  const dnn::Graph g = dnn::make_model("googlenet", 8);
+  const dnn::Graph decoded = io::decode_graph(io::encode_graph(g));
+  EXPECT_EQ(graph_signature(decoded), graph_signature(g));
+
+  std::vector<dnn::Layer> layers(g.layers().begin(), g.layers().end());
+  std::vector<std::vector<dnn::NodeId>> producers;
+  for (dnn::NodeId id = 0; id < g.size(); ++id) {
+    const auto p = g.producers(id);
+    producers.emplace_back(p.begin(), p.end());
+  }
+  const dnn::Graph rebuilt(g.name(), std::move(layers), std::move(producers));
+  EXPECT_EQ(graph_signature(rebuilt), graph_signature(g));
+}
+
+TEST(GraphSignatureTest, EmptyGraphKeepsItsValue) {
+  EXPECT_EQ(graph_signature(dnn::Graph{}), 0xa31e272015f12c43ULL);
+  EXPECT_EQ(dnn::hash_graph(dnn::Graph{}), 0xa31e272015f12c43ULL);
+  EXPECT_EQ(graph_signature(dnn::Graph("", {}, {})), 0xa31e272015f12c43ULL);
 }
 
 TEST(PlanCacheTest, MissThenHitReturnsSamePlan) {

@@ -8,10 +8,10 @@
 //    job runs this same suite to catch data races in the fan-out.
 //  - Admission control, deadlines, and error paths behave as documented;
 //    a request that fails inside a worker fails serve() without a hang.
-//  - A fault-free, untraced serve simulates each repeated (model, plan,
-//    passes) run once per worker and call; every attempt still equals a
-//    direct run bit for bit, and the simulator run counter still counts
-//    every attempt.
+//  - A fault-free, untraced serve simulates each distinct (model, plan,
+//    passes) run exactly once per call, whatever the worker count; every
+//    attempt still equals a direct run bit for bit, and the simulator run
+//    metric still counts every attempt.
 #include "serve/server.hpp"
 
 #include "baselines/fpg.hpp"
@@ -19,6 +19,7 @@
 #include "core/powerlens.hpp"
 #include "dnn/models.hpp"
 #include "dnn/random_gen.hpp"
+#include "fault/fault_spec.hpp"
 #include "hw/sim_engine.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
@@ -461,6 +462,104 @@ TEST_F(ServerTest, SimRunCounterCountsEveryServedAttempt) {
   }
 }
 
+TEST_F(ServerTest, WarmServeSimulatesEachDistinctKeyOncePerCall) {
+  // repeated_tasks() asks for every (model, passes) pair of 3 models and
+  // 1..3 passes, so K = 9 distinct keys among 24 requests.
+  const std::vector<Task> tasks = repeated_tasks();
+  constexpr std::uint64_t kDistinct = 9;
+  for (const ServePolicy policy : {ServePolicy::kPowerLens,
+                                   ServePolicy::kMaxn}) {
+    for (const std::size_t workers : {1u, 2u, 4u}) {
+      SCOPED_TRACE(std::string(policy_name(policy)) + ", " +
+                   std::to_string(workers) + " workers");
+      ServerConfig cfg;
+      cfg.policy = policy;
+      cfg.num_workers = workers;
+      Server server(*platform_, *models_, cfg, framework_);
+      // The memo lives for one call: a second serve() simulates again.
+      for (int call = 0; call < 2; ++call) {
+        const std::uint64_t runs = server.sim_runs();
+        const std::uint64_t reuses = server.memo_reuses();
+        (void)server.serve(tasks);
+        EXPECT_EQ(server.sim_runs() - runs, kDistinct) << "call " << call;
+        EXPECT_EQ(server.memo_reuses() - reuses, tasks.size() - kDistinct)
+            << "call " << call;
+      }
+    }
+  }
+}
+
+TEST_F(ServerTest, MemoizedJournalEqualsPerRequestRendering) {
+  // An untraced fault-free serve renders each memo entry's journal
+  // fragments once and shares them; a traced serve bypasses the memo, so
+  // every record renders from its own request. Served, rejected and shed
+  // records, their residuals and the report must read the same.
+  RequestStreamConfig sc = stream_config(48);
+  sc.arrivals = ArrivalProcess::kPoisson;
+  sc.arrival_rate_hz = 20.0;
+  sc.deadline_s = 0.5;
+  const RequestStream stream(models_->size(), sc);
+  const auto exports = [&](bool traced, std::size_t workers) {
+    const std::string path =
+        testing::TempDir() + "server_test_memo_journal_trace.json";
+    if (traced) {
+      EXPECT_TRUE(obs::default_trace().open(path));
+    }
+    ServerConfig cfg;
+    cfg.policy = ServePolicy::kPowerLens;
+    cfg.num_workers = workers;
+    cfg.admission_capacity = 3;
+    cfg.degrade.shed_doomed = true;
+    obs::Journal journal;
+    obs::Residuals residuals;
+    cfg.journal = &journal;
+    cfg.residuals = &residuals;
+    Server server(*platform_, *models_, cfg, framework_);
+    const ServeReport report = server.serve(stream);
+    if (traced) {
+      obs::default_trace().close();
+      std::remove(path.c_str());
+    }
+    EXPECT_GT(report.rejected, 0u);
+    EXPECT_GT(report.shed, 0u);
+    EXPECT_GT(report.admitted, 0u);
+    EXPECT_EQ(server.memo_reuses() == 0, traced);
+    std::ostringstream os;
+    report.write_json(os);
+    return os.str() + journal.jsonl() + residuals.json();
+  };
+  const std::string per_request = exports(/*traced=*/true, 1);
+  for (const std::size_t workers : {1u, 4u}) {
+    EXPECT_EQ(exports(/*traced=*/false, workers), per_request)
+        << workers << " workers";
+  }
+}
+
+TEST_F(ServerTest, ReactiveServeIsOneSimulatorRun) {
+  ServerConfig cfg;
+  cfg.policy = ServePolicy::kBiM;
+  Server server(*platform_, *models_, cfg, nullptr);
+  (void)server.serve(repeated_tasks());
+  EXPECT_EQ(server.sim_runs(), 1u);
+  EXPECT_EQ(server.memo_reuses(), 0u);
+}
+
+TEST_F(ServerTest, FaultInjectedServeSimulatesEveryAttempt) {
+  // Fault streams are seeded per (task, attempt), so nothing is reused:
+  // one simulator run per attempt, retries included.
+  ServerConfig cfg;
+  cfg.policy = ServePolicy::kPowerLens;
+  cfg.num_workers = 2;
+  cfg.faults = fault::FaultSpec::parse("dvfs=0.3,seed=11");
+  Server server(*platform_, *models_, cfg, framework_);
+  const ServeReport report = server.serve(repeated_tasks());
+  std::uint64_t attempts = 0;
+  for (const RequestOutcome& o : report.outcomes) attempts += o.attempts.size();
+  EXPECT_GT(report.retries, 0u);  // the spec bit, so some requests retried
+  EXPECT_EQ(server.sim_runs(), attempts);
+  EXPECT_EQ(server.memo_reuses(), 0u);
+}
+
 TEST_F(ServerTest, TracedServeSimulatesEveryAttempt) {
   // The trace shows each simulated run as its own process, so a traced
   // serve must not reuse runs: one "sim …" process per attempt.
@@ -490,6 +589,8 @@ TEST_F(ServerTest, TracedServeSimulatesEveryAttempt) {
   }
   EXPECT_EQ(processes, tasks.size());
   EXPECT_EQ(runs, static_cast<double>(tasks.size()));
+  EXPECT_EQ(server.sim_runs(), tasks.size());
+  EXPECT_EQ(server.memo_reuses(), 0u);
   expect_attempts_equal_direct_runs(server, cfg.policy, tasks, report);
 }
 
